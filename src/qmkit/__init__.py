@@ -17,8 +17,10 @@ from .errors import (
     DimensionMismatch,
     GridTooSmall,
     InvalidEffect,
+    LevelsUnresolved,
     NegativeEigenvalue,
     NoEigenvalueInRange,
+    NodeCountMismatch,
     NonMonotoneMap,
     NonMonotoneTime,
     NotSeriesParallel,
@@ -74,9 +76,11 @@ __all__ = [
     "EigenResult",
     "GridTooSmall",
     "InvalidEffect",
+    "LevelsUnresolved",
     "MoebiusMap",
     "NegativeEigenvalue",
     "NoEigenvalueInRange",
+    "NodeCountMismatch",
     "NonMonotoneMap",
     "NonMonotoneTime",
     "NotSeriesParallel",

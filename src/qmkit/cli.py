@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NegativeEigenvalue, NoEigenvalueInRange, QmkitError
+from .errors import NegativeEigenvalue, NodeCountMismatch, NoEigenvalueInRange, QmkitError
 from .grids import RealGrid, SampledFunction
 from .qshje import (
     floyd_trajectory,
@@ -85,16 +85,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("physical constants must be positive")
+        if not (0 < self.hbar < math.inf and 0 < self.mass < math.inf):
+            raise ValueError("physical constants must be positive and finite")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         merged = dict(_DEFAULT_TOLERANCES)
         for name, value in self.tolerances.items():
             if name not in _DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance name {name!r}")
-            if value <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
+            if not 0 < value < math.inf:
+                raise ValueError(f"tolerance {name} must be positive and finite")
             merged[name] = value
         object.__setattr__(self, "tolerances", merged)
 
@@ -162,6 +162,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise _UsageError(f"bad range {text!r}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _UsageError(f"--range bounds must be finite, got {text!r}")
     if not lo < hi:
         raise _UsageError(f"--range needs lo < hi, got {text!r}")
     return lo, hi
@@ -246,6 +248,9 @@ def cmd_spectrum(
     except NoEigenvalueInRange as exc:
         print(f"no levels: {exc}", file=sys.stderr)
         return _EXIT_EMPTY
+    except NodeCountMismatch as exc:
+        print(f"error: {exc}; try a finer --grid qmin:qmax:n", file=sys.stderr)
+        return _EXIT_USAGE
     if config.output_format == "json":
         payload = json.dumps(
             {
@@ -267,6 +272,8 @@ def cmd_trajectory(
     config: RunConfig, potential_text: str, energy: float, de: float | None
 ) -> int:
     potential = parse_potential(text=potential_text, hbar=config.hbar, mass=config.mass)
+    if not math.isfinite(energy) or (de is not None and not math.isfinite(de)):
+        raise _UsageError("--energy and --de must be finite")
     # The potential's generic default grid is wrong for trajectory work:
     # deep forbidden tails starve the time column of resolvable increments.
     grid = config.grid if config.grid is not None else suggest_trajectory_grid(

@@ -34,6 +34,17 @@ class NoEigenvalueInRange(QmkitError):
     """No discrete level was found inside the requested energy window."""
 
 
+class LevelsUnresolved(QmkitError):
+    """Levels lie closer than float resolution, or a level search hit its cap."""
+
+
+class NodeCountMismatch(QmkitError):
+    """An eigenfunction's node count differs from its level index.
+
+    Usually the grid under-resolves the level and a finer grid is needed.
+    """
+
+
 class DegeneratePair(QmkitError):
     """Two wavefunctions are linearly dependent (vanishing Wronskian)."""
 

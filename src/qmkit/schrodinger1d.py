@@ -2,12 +2,12 @@
 
 The second-order equation psi'' = -g(q) psi with g = 2 m (E - V)/hbar^2 is
 integrated by the Numerov three-term recurrence (sixth-order local error).
-Bound states of confining potentials are located by shooting: decaying
-solutions are propagated inward from both edges, their logarithmic
-derivatives are compared at the rightmost classical turning point, and the
-energy is refined by node-count bracketing followed by bisection on that
-mismatch.  The module also builds the canonical two-solution pairs that
-the reduced-action reconstruction downstream consumes.
+Bound states of confining potentials are located by shooting: one sweep
+of decaying solutions inward from both edges to the rightmost turning
+point yields the number of levels below the trial energy (a Sturm count)
+and a pole-free match; levels are isolated by bisecting on the count and
+polished by Brent's method on the match.  The module also builds the
+canonical solution pairs that the reduced-action reconstruction consumes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegeneratePair, NoEigenvalueInRange, Overflow
+from .errors import (DegeneratePair, LevelsUnresolved, NodeCountMismatch,
+                     NoEigenvalueInRange, Overflow)
 from .grids import RealGrid
 
 __all__ = [
@@ -48,11 +49,11 @@ _OVERFLOW_AT = 1e250
 #: Ceiling for solution-pair marches (their squares must stay representable).
 _PAIR_OVERFLOW_AT = 1e140
 
-#: Eigenvalue bisection stops below this absolute width.
-_BISECT_TOL = 1e-12
+#: Eigenvalue polishing stops below this width relative to max(1, |E|).
+_LEVEL_RTOL = 1e-12
 
-#: Eigenvalue bisection iteration cap.
-_BISECT_MAX_ITER = 60
+#: Iteration cap of each level's count bisection and of its polish.
+_LEVEL_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +84,8 @@ class Potential:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        if not np.all(np.isfinite([self.hbar, self.mass, self.omega, self.length, self.slope])):
+            raise ValueError("hbar, mass, omega, length and slope must be finite")
         if self.hbar <= 0 or self.mass <= 0:
             raise ValueError("hbar and mass must be positive")
         if self.kind == "infinite_well" and self.length <= 0:
@@ -114,6 +117,8 @@ class Potential:
             raise ValueError("tabulated potential needs two matching 1-d columns")
         if not np.all(np.diff(q) > 0):
             raise ValueError("tabulated sample points must be strictly increasing")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("tabulated potential values must be finite")
         return cls(kind="tabulated", hbar=hbar, mass=mass, table_q=q, table_v=v)
 
     # -- behavior ----------------------------------------------------------
@@ -234,11 +239,14 @@ class EigenResult:
 # Numerov marches (plain-float loops: the recurrence cannot be vectorized)
 
 
+def _g_values(potential: Potential, energy: float, grid: RealGrid) -> np.ndarray:
+    q = grid.points()
+    return 2.0 * potential.mass * (energy - potential.evaluate(q)) / potential.hbar**2
+
+
 def _coefficients(potential: Potential, energy: float, grid: RealGrid) -> np.ndarray:
     """Numerov coefficients c_i = 1 + h^2 g_i / 12 on the grid."""
-    q = grid.points()
-    g = 2.0 * potential.mass * (energy - potential.evaluate(q)) / potential.hbar**2
-    return 1.0 + (grid.spacing**2 / 12.0) * g
+    return 1.0 + (grid.spacing**2 / 12.0) * _g_values(potential, energy, grid)
 
 
 def _march_full(c: np.ndarray, y0: float, y1: float, allow_renorm: bool,
@@ -267,34 +275,16 @@ def _march_full(c: np.ndarray, y0: float, y1: float, allow_renorm: bool,
     return np.asarray(out)
 
 
-def _march_nodes(c: np.ndarray, y0: float, y1: float) -> int:
-    """Count strict sign changes along a sweep (log-derivative safe)."""
+def _march(c: np.ndarray, y0: float, y1: float) -> tuple[int, float, float, float]:
+    """Sweep; return its strict sign changes and its last three values."""
     coeff = c.tolist()
     nodes = 0
-    prev, cur = y0, y1
+    older, prev, cur = 0.0, y0, y1
     cp, cc = coeff[0], coeff[1]
-    for i in range(2, len(coeff)):
-        cn = coeff[i]
+    for cn in coeff[2:]:
         nxt = ((12.0 - 10.0 * cc) * cur - cp * prev) / cn
         if cur * nxt < 0.0:
             nodes += 1
-        prev, cur = cur, nxt
-        cp, cc = cc, cn
-        if abs(nxt) > _RENORM_AT:
-            scale = 1.0 / abs(nxt)
-            prev *= scale
-            cur *= scale
-    return nodes
-
-
-def _march_tail3(c: np.ndarray, y0: float, y1: float) -> tuple[float, float, float]:
-    """Sweep and return the last three values (renormalization-consistent)."""
-    coeff = c.tolist()
-    older, prev, cur = 0.0, y0, y1
-    cp, cc = coeff[0], coeff[1]
-    for i in range(2, len(coeff)):
-        cn = coeff[i]
-        nxt = ((12.0 - 10.0 * cc) * cur - cp * prev) / cn
         older, prev, cur = prev, cur, nxt
         cp, cc = cc, cn
         if abs(nxt) > _RENORM_AT:
@@ -302,7 +292,7 @@ def _march_tail3(c: np.ndarray, y0: float, y1: float) -> tuple[float, float, flo
             older *= scale
             prev *= scale
             cur *= scale
-    return older, prev, cur
+    return nodes, older, prev, cur
 
 
 def numerov_integrate(
@@ -333,21 +323,16 @@ def numerov_integrate(
 # shooting
 
 
-def _decay_seed(potential: Potential, energy: float, grid: RealGrid,
-                left: bool) -> tuple[float, float]:
-    """Two starting values of the solution decaying into a forbidden edge."""
+def _decay_seeds(potential: Potential, energy: float, grid: RealGrid):
+    """Starting values of the solutions decaying into the left and right edges."""
     if potential.hard_wall:
-        return 0.0, 1e-6
-    edge = grid.q_min if left else grid.q_max
-    v_edge = float(potential.evaluate(np.array([edge]))[0])
-    gap = v_edge - energy
-    if gap <= 0.0:
-        raise ValueError(
-            "energy is not classically forbidden at the grid edge; "
-            "the decaying seed is undefined"
-        )
-    kappa = math.sqrt(2.0 * potential.mass * gap) / potential.hbar
-    return _TAIL_SEED, _TAIL_SEED * math.exp(kappa * grid.spacing)
+        return (0.0, 1e-6), (0.0, 1e-6)
+    gaps = potential.evaluate(np.array([grid.q_min, grid.q_max])) - energy
+    if gaps.min() <= 0.0:
+        raise ValueError("energy is not classically forbidden at the grid edge; "
+                         "the decaying seed is undefined")
+    kappa = np.sqrt(2.0 * potential.mass * gaps) / potential.hbar
+    return tuple((_TAIL_SEED, _TAIL_SEED * math.exp(k * grid.spacing)) for k in kappa)
 
 
 def _matching_index(potential: Potential, energy: float, grid: RealGrid) -> int:
@@ -368,40 +353,80 @@ def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid) -> float
     zero exactly at the bound-state energies.
     """
     c = _coefficients(potential, energy, grid)
-    h = grid.spacing
     im = _matching_index(potential, energy, grid)
-
-    l0, l1 = _decay_seed(potential, energy, grid, left=True)
-    below, at, above = _march_tail3(c[: im + 2], l0, l1)
-    at = at if at != 0.0 else 1e-300
-    ld_left = (above - below) / (2.0 * h * at)
-
-    r0, r1 = _decay_seed(potential, energy, grid, left=False)
-    above_r, at_r, below_r = _march_tail3(c[im - 1 :][::-1], r0, r1)
-    at_r = at_r if at_r != 0.0 else 1e-300
-    ld_right = (above_r - below_r) / (2.0 * h * at_r)
-
-    return ld_left - ld_right
+    seed_l, seed_r = _decay_seeds(potential, energy, grid)
+    _, below, at, above = _march(c[: im + 2], *seed_l)
+    _, above_r, at_r, below_r = _march(c[im - 1 :][::-1], *seed_r)
+    return ((above - below) / (at or 1e-300)
+            - (above_r - below_r) / (at_r or 1e-300)) / (2.0 * grid.spacing)
 
 
-def _node_count(potential: Potential, energy: float, grid: RealGrid) -> int:
+def _shoot(potential: Potential, energy: float, grid: RealGrid,
+           im: int | None = None) -> tuple[int, float, int]:
+    """One sweep: (levels below ``energy``, match w, matching index im).
+
+    Decaying solutions a (marched to im+1) and b (down to im) meet at the
+    rightmost turning point unless ``im`` is given.  w is their Casoratian
+    at (im, im+1), written cancellation-free and scaled to the sine of the
+    angle between them, so it is pole-free and smooth in energy at fixed
+    im.  The Sturm count (a's sign changes up to im, b's from im on, plus
+    one when a0 b0 w > 0) does not depend on im."""
     c = _coefficients(potential, energy, grid)
-    y0, y1 = _decay_seed(potential, energy, grid, left=True)
-    return _march_nodes(c, y0, y1)
+    if im is None:
+        im = _matching_index(potential, energy, grid)
+    seed_l, seed_r = _decay_seeds(potential, energy, grid)
+    nl, _, a0, a1 = _march(c[: im + 2], *seed_l)
+    nr, _, b1, b0 = _march(c[im:][::-1], *seed_r)
+    w = a0 * (b1 - b0) - b0 * (a1 - a0)
+    w /= math.hypot(a0, a1) * math.hypot(b0, b1)
+    count = nl - (a0 * a1 < 0.0) + nr + (a0 * b0 * w > 0.0)
+    return count, w, im
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of f in the sign-changing bracket [a, b] to about ``xtol``, by
+    Brent's method (Brent 1973, ch. 4): interpolation or bisection steps."""
+    if fa * fb > 0.0:
+        raise LevelsUnresolved("the match keeps its sign across an isolated level")
+    c, fc, d, e = a, fa, b - a, b - a
+    for _ in range(_LEVEL_MAX_ITER):
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        interpolate = abs(e) >= tol and abs(fa) > abs(fb)
+        if interpolate:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+            interpolate = 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q)
+        e, d = (d, p / q) if interpolate else (m, m)
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb * fc > 0.0:
+            c, fc, d, e = a, fa, b - a, b - a
+    raise LevelsUnresolved("the level polish did not converge")
 
 
 def _assemble_eigenfunction(
-    potential: Potential, energy: float, grid: RealGrid
-) -> tuple[Wavefunction, int]:
-    """Glue the left and right decaying solutions at the matching point."""
+    potential: Potential, energy: float, grid: RealGrid, index: int
+) -> Wavefunction:
+    """Glue the left and right decaying solutions at the matching point;
+    raise NodeCountMismatch unless the result has ``index`` nodes."""
     c = _coefficients(potential, energy, grid)
-    h = grid.spacing
     im = _matching_index(potential, energy, grid)
 
-    l0, l1 = _decay_seed(potential, energy, grid, left=True)
-    left = _march_full(c[: im + 2], l0, l1, allow_renorm=True)
-    r0, r1 = _decay_seed(potential, energy, grid, left=False)
-    right = _march_full(c[im - 1 :][::-1], r0, r1, allow_renorm=True)[::-1]
+    seed_l, seed_r = _decay_seeds(potential, energy, grid)
+    left = _march_full(c[: im + 2], *seed_l, allow_renorm=True)
+    right = _march_full(c[im - 1 :][::-1], *seed_r, allow_renorm=True)[::-1]
 
     # The two marches overlap on indices im-1..im+1.  A node of the true
     # eigenfunction can sit on any one grid point, leaving roundoff-level
@@ -415,8 +440,8 @@ def _assemble_eigenfunction(
     scale = anchor_left / anchor_right
     values = np.concatenate([left[:im], right[1:] * scale])
 
-    norm = math.sqrt(float(np.trapezoid(values * values, dx=h)))
-    values = values / norm
+    values = values / np.abs(values).max()  # keeps the squares below finite
+    values = values / math.sqrt(float(np.trapezoid(values * values, dx=grid.spacing)))
     if values[int(np.argmax(np.abs(values)))] < 0.0:
         values = -values
     # A node can land exactly on a grid point, leaving a roundoff-level
@@ -424,7 +449,10 @@ def _assemble_eigenfunction(
     # stand clear of that noise so such a node is seen once, not twice.
     clear = values[np.abs(values) > 1e-9 * float(np.abs(values).max())]
     nodes = int(np.count_nonzero(clear[:-1] * clear[1:] < 0.0))
-    return Wavefunction(grid, values, energy), nodes
+    if nodes != index:
+        raise NodeCountMismatch(f"level {index} at E = {energy!r} shows {nodes} nodes; the "
+                                "grid under-resolves it or a node is below the noise floor")
+    return Wavefunction(grid, values, energy)
 
 
 def find_eigenvalues(
@@ -435,86 +463,63 @@ def find_eigenvalues(
 ) -> EigenResult:
     """Bound states of a confining (or hard-wall) potential in an energy window.
 
-    Levels are isolated by node-count bracketing and polished by bisection
-    on the shooting mismatch (terminating below 1e-12 absolute width or at
-    60 iterations).  For soft potentials only energies that remain
-    classically forbidden at both grid edges are searchable; a window with
-    no such level raises NoEigenvalueInRange.
+    Each trial energy costs one sweep giving the count of levels below it
+    and a pole-free match.  Bisection on the count, over one table shared
+    by the window, isolates level k; Brent's method on the match polishes
+    it to a width of 1e-12 max(1, |E|), or to the energy resolution of the
+    Numerov coefficients where that is wider.  Levels closer than float
+    resolution raise LevelsUnresolved, an eigenfunction without k nodes
+    raises NodeCountMismatch (the grid under-resolves it).  For soft
+    potentials only energies classically forbidden at both grid edges are
+    searchable; a window with no such level raises NoEigenvalueInRange.
     """
     if grid is None:
         grid = potential.default_grid()
-    if potential.hard_wall:
-        span_ok = abs(grid.q_min) < 1e-9 and abs(grid.q_max - potential.length) < 1e-9
-        if not span_ok:
-            raise ValueError("hard-wall grids must span exactly [0, length]")
+    if potential.hard_wall and max(abs(grid.q_min), abs(grid.q_max - potential.length)) >= 1e-9:
+        raise ValueError("hard-wall grids must span exactly [0, length]")
     e_lo, e_hi = float(e_range[0]), float(e_range[1])
-    if not e_lo < e_hi:
-        raise ValueError("energy range must satisfy lo < hi")
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi) and e_lo < e_hi):
+        raise ValueError("energy range must be finite and satisfy lo < hi")
     if max_count < 1:
         raise ValueError("max_count must be at least 1")
 
     search_hi = e_hi
     if not potential.hard_wall:
-        edges = potential.evaluate(np.array([grid.q_min, grid.q_max]))
-        ceiling = float(edges.min())
+        ceiling = float(potential.evaluate(np.array([grid.q_min, grid.q_max])).min())
         search_hi = min(e_hi, ceiling - 1e-9 * max(1.0, abs(ceiling)))
         if search_hi <= e_lo:
-            raise NoEigenvalueInRange(
-                "no energy in the window is confined on this grid"
-            )
+            raise NoEigenvalueInRange("no energy in the window is confined on this grid")
 
-    nodes_lo = _node_count(potential, e_lo, grid)
-    nodes_hi = _node_count(potential, search_hi, grid)
-    if nodes_hi <= nodes_lo:
-        raise NoEigenvalueInRange("no node-count step inside the energy window")
+    # Energies closer than this leave every Numerov coefficient within two ulps.
+    resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
+    shots = {e: _shoot(potential, e, grid) for e in (e_lo, search_hi)}
+    k_lo, k_hi = shots[e_lo][0], shots[search_hi][0]
+    if k_hi <= k_lo:
+        raise NoEigenvalueInRange("no level inside the energy window")
 
-    scale = max(1.0, abs(e_lo), abs(search_hi))
-    coarse_tol = 1e-6 * scale
-
-    energies: list[float] = []
-    functions: list[Wavefunction] = []
-    node_counts: list[int] = []
-    floor = e_lo
-    for k in range(nodes_lo, nodes_hi):
-        if len(energies) >= max_count:
-            break
-        lo, hi = floor, search_hi
-        while hi - lo > coarse_tol:
+    energies, functions = [], []
+    levels = range(k_lo, min(k_hi, k_lo + max_count))
+    for k in levels:
+        for _ in range(_LEVEL_MAX_ITER):
+            lo = max(e for e, shot in shots.items() if shot[0] <= k)
+            hi = min(e for e, shot in shots.items() if shot[0] > k)
+            if shots[lo][0] == k and shots[hi][0] == k + 1:
+                break
             mid = 0.5 * (lo + hi)
-            if _node_count(potential, mid, grid) >= k + 1:
-                hi = mid
-            else:
-                lo = mid
-
-        f_lo = shoot_mismatch(potential, lo, grid)
-        f_hi = shoot_mismatch(potential, hi, grid)
-        if math.isfinite(f_lo) and math.isfinite(f_hi) and (f_lo > 0.0 > f_hi):
-            for _ in range(_BISECT_MAX_ITER):
-                if hi - lo < _BISECT_TOL:
-                    break
-                mid = 0.5 * (lo + hi)
-                if shoot_mismatch(potential, mid, grid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
+            if not lo < mid < hi:
+                raise LevelsUnresolved(f"levels near E = {mid!r} closer than float spacing")
+            shots[mid] = _shoot(potential, mid, grid)
         else:
-            # A pole sits in the bracket; keep splitting on node count.
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if _node_count(potential, mid, grid) >= k + 1:
-                    hi = mid
-                else:
-                    lo = mid
-        level = 0.5 * (lo + hi)
-        psi, nodes = _assemble_eigenfunction(potential, level, grid)
-        energies.append(level)
-        functions.append(psi)
-        node_counts.append(nodes)
-        floor = hi + coarse_tol
+            raise LevelsUnresolved(f"level {k} not isolated in {_LEVEL_MAX_ITER} steps")
 
-    if not energies:
-        raise NoEigenvalueInRange("no bound state found in the energy window")
-    return EigenResult(np.array(energies), tuple(node_counts), tuple(functions))
+        _, f_hi, im = shots[hi]
+        f_lo = shots[lo][1] if shots[lo][2] == im else _shoot(potential, lo, grid, im)[1]
+        level = _brent(lambda e: _shoot(potential, e, grid, im)[1], lo, hi, f_lo, f_hi,
+                       max(_LEVEL_RTOL * max(1.0, abs(lo), abs(hi)), resolution))
+        energies.append(level)
+        functions.append(_assemble_eigenfunction(potential, level, grid, k))
+
+    return EigenResult(np.array(energies), tuple(levels), tuple(functions))
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +545,6 @@ def wronskian_profile(
 
     w_h_centered = 0.5 * (w_h[:-1] + w_h[1:])
     return (16.0 * w_h_centered - w_2h) / 15.0
-
-
-def _g_values(potential: Potential, energy: float, grid: RealGrid) -> np.ndarray:
-    q = grid.points()
-    return 2.0 * potential.mass * (energy - potential.evaluate(q)) / potential.hbar**2
 
 
 def _validated_wronskian(

@@ -3,8 +3,9 @@
 Every numeric expectation frozen into the test suite traces back to one of
 the helpers here: symbolic differentiation for Schwarzian-derivative
 values, 2x2 matrix algebra for fractional-linear composition, closed-form
-spectra for the built-in potentials, and brute-force path enumeration for
-amplitude networks.  None of these share code with the library under test.
+spectra for the built-in potentials, a full-sweep Numerov node count, and
+brute-force path enumeration for amplitude networks.  None of these share
+code with the library under test.
 """
 
 from __future__ import annotations
@@ -68,6 +69,25 @@ def well_level(n: int, length: float = 1.0, hbar: float = 1.0,
                mass: float = 1.0) -> float:
     """Closed-form hard-wall level n^2 pi^2 hbar^2 / (2 m L^2), n >= 1."""
     return (n * math.pi * hbar / length) ** 2 / (2.0 * mass)
+
+
+def numerov_node_count(g: np.ndarray, h: float) -> int:
+    """Sign changes of the Numerov solution of psi'' = -g psi that starts as
+    (0, 1e-30) at the left end and is marched across the whole grid.
+
+    This is the textbook node count of one full left-to-right sweep: the
+    number of levels below the energy whenever the right end lies deep in
+    a forbidden region (or on a hard wall).
+    """
+    c = (1.0 + h * h * np.asarray(g, dtype=float) / 12.0).tolist()
+    prev, cur, nodes = 0.0, 1e-30, 0
+    for i in range(1, len(c) - 1):
+        nxt = ((12.0 - 10.0 * c[i]) * cur - c[i - 1] * prev) / c[i + 1]
+        nodes += cur * nxt < 0.0
+        prev, cur = cur, nxt
+        if abs(cur) > 1e100:
+            prev, cur = prev / abs(cur), cur / abs(cur)
+    return int(nodes)
 
 
 def path_sum_amplitude(network: AmplitudeNetwork) -> complex:

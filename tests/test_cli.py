@@ -6,10 +6,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmkit
 from qmkit.cli import main
 
 
@@ -92,6 +97,36 @@ class TestSpectrum:
         _, rows = parse_csv(out)
         assert len(rows) == 2
 
+    def test_non_finite_frequency_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "spectrum", "--potential", "harmonic:w=nan", "--range", "0:6"
+        )
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_under_resolved_levels_exit_with_a_grid_hint(self, capsys):
+        code, out, err = run(
+            capsys,
+            "spectrum", "--potential", "harmonic:w=1000", "--range", "0:5000",
+            "--count", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--grid" in err
+
+    def test_tiny_well_over_a_huge_window_exits_promptly(self):
+        src = str(Path(qmkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "qmkit", "spectrum", "--potential", "well:L=0.001",
+             "--range", "0:1e9", "--count", "5"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 0
+        _, rows = parse_csv(done.stdout)
+        assert [int(row[2]) for row in rows] == [0, 1, 2, 3, 4]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -100,6 +135,7 @@ class TestSpectrum:
             ("spectrum", "--potential", "harmonic", "--range", "0:6", "--count", "0"),
             ("spectrum", "--potential", "harmonic", "--range", "0:6", "--grid", "bad"),
             ("spectrum", "--potential", "table:no_such_file.csv", "--range", "0:6"),
+            ("spectrum", "--potential", "harmonic", "--range", "0:inf"),
         ],
     )
     def test_bad_inputs_exit_with_usage_error(self, capsys, argv):
@@ -145,6 +181,14 @@ class TestTrajectory:
         payload = json.loads(out)
         assert set(payload) == {"energy", "t", "q", "p"}
         assert len(payload["t"]) == len(payload["q"]) == len(payload["p"])
+
+    def test_non_finite_energy_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "trajectory", "--potential", "harmonic", "--energy", "nan"
+        )
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
 
     def test_zero_energy_step_is_an_input_error(self, capsys):
         code, _, err = run(
@@ -230,6 +274,13 @@ class TestAudit:
             capsys, "audit", "tomography", "--tol-override", "mub_overlap=tiny"
         )
         assert code == 1
+
+    def test_non_finite_tolerance_is_an_input_error(self, capsys):
+        code, _, err = run(
+            capsys, "audit", "tomography", "--tol-override", "mub_overlap=nan"
+        )
+        assert code == 1
+        assert "finite" in err
 
     def test_unknown_suite_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "audit", "everything")

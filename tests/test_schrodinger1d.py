@@ -15,10 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import harmonic_level, well_level
+import qmkit.schrodinger1d as schrodinger1d
+from oracles import harmonic_level, numerov_node_count, well_level
 from qmkit import (
     DegeneratePair,
     GridTooSmall,
+    LevelsUnresolved,
+    NodeCountMismatch,
     NoEigenvalueInRange,
     Overflow,
     Potential,
@@ -46,6 +49,18 @@ def test_potential_constants_must_be_positive():
         Potential.harmonic(mass=-1.0)
     with pytest.raises(ValueError, match="positive"):
         Potential.free(hbar=0.0)
+
+
+@pytest.mark.parametrize("name", ["hbar", "mass", "omega", "length", "slope"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_potential_constants_must_be_finite(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        Potential(kind="harmonic", **{name: value})
+
+
+def test_tabulated_values_must_be_finite():
+    with pytest.raises(ValueError, match="finite"):
+        Potential.tabulated([0.0, 1.0, 2.0], [0.0, math.nan, 4.0])
 
 
 def test_unknown_potential_kind_rejected():
@@ -243,6 +258,102 @@ def test_eigenvalue_error_shrinks_at_fourth_order():
     assert errors[0] / errors[1] > 12.0
     assert errors[1] / errors[2] > 12.0
     assert errors[0] / errors[2] > 30.0
+
+
+def test_non_finite_energy_window_rejected():
+    for window in ((math.nan, 6.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            find_eigenvalues(Potential.harmonic(), window, 64, HARMONIC_GRID)
+
+
+def test_tiny_well_over_a_huge_window_returns():
+    result = find_eigenvalues(Potential.infinite_well(0.001), (0.0, 1e9), 5)
+    expected = np.array([well_level(n, length=0.001) for n in range(1, 6)])
+    assert result.node_counts == (0, 1, 2, 3, 4)
+    assert np.abs(result.energies / expected - 1.0).max() < 1e-6
+
+
+def test_under_resolved_levels_raise_instead_of_returning_rows():
+    # h = 0.005 leaves about six points across the omega = 1000 ground state.
+    with pytest.raises(NodeCountMismatch, match="under-resolves"):
+        find_eigenvalues(Potential.harmonic(omega=1000.0), (0.0, 5000.0), 3)
+
+
+def test_levels_closer_than_float_spacing_raise():
+    # A deep symmetric double well: each tunnelling doublet is split far
+    # below the float spacing of its energy, so no bracket can hold one.
+    q = np.linspace(-6.0, 6.0, 4001)
+    double_well = Potential.tabulated(q, 2.0 * (q * q - 9.0) ** 2)
+    with pytest.raises(LevelsUnresolved, match="float spacing"):
+        find_eigenvalues(double_well, (0.0, 30.0), 4)
+
+
+def test_deep_double_well_ground_state_is_normalized():
+    # The left march crosses a barrier of height 625 and grows to about
+    # 1e163; squaring those samples must not overflow the normalization.
+    q = np.linspace(-10.0, 10.0, 4001)
+    double_well = Potential.tabulated(q, (q * q - 25.0) ** 2)
+    result = find_eigenvalues(double_well, (0.0, 30.0), 1)
+    psi = result.wavefunctions[0].values
+    assert result.node_counts == (0,)
+    assert float(np.trapezoid(psi * psi, dx=q[1] - q[0])) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# shooting work and accuracy gates (machine-independent)
+
+
+def _solve_counting_sweeps(potential, window):
+    """find_eigenvalues plus its shooting sweeps per level."""
+    calls = []
+    shoot = schrodinger1d._shoot
+
+    def counted(*args):
+        calls.append(args)
+        return shoot(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schrodinger1d, "_shoot", counted)
+        result = find_eigenvalues(potential, window, 64)
+    return result, len(calls) / len(result.energies)
+
+
+@pytest.fixture(scope="module")
+def harmonic_to_forty():
+    return _solve_counting_sweeps(Potential.harmonic(), (0.0, 40.0))
+
+
+def test_harmonic_window_costs_at_most_13_sweeps_per_level(harmonic_to_forty):
+    result, per_level = harmonic_to_forty
+    assert len(result.energies) == 40
+    assert per_level <= 13.0
+
+
+def test_harmonic_levels_to_forty_reach_method_accuracy(harmonic_to_forty):
+    result, _ = harmonic_to_forty
+    expected = np.array([harmonic_level(n) for n in range(40)])
+    assert np.abs(result.energies - expected).max() <= 1e-5
+
+
+def test_well_window_costs_at_most_20_sweeps_per_level():
+    result, per_level = _solve_counting_sweeps(Potential.infinite_well(1.0), (0.0, 2000.0))
+    assert len(result.energies) == 20
+    assert per_level <= 20.0
+
+
+@pytest.mark.parametrize(
+    "potential, grid, top",
+    [
+        (Potential.harmonic(), HARMONIC_GRID, 40.0),
+        (Potential.infinite_well(1.0), WELL_GRID, 2000.0),
+    ],
+)
+def test_one_sweep_count_equals_full_grid_node_count(potential, grid, top):
+    q = grid.points()
+    for energy in np.linspace(0.0137, top, 300):
+        g = 2.0 * (energy - potential.evaluate(q))
+        count = schrodinger1d._shoot(potential, float(energy), grid)[0]
+        assert count == numerov_node_count(g, grid.spacing), energy
 
 
 # ---------------------------------------------------------------------------
