@@ -8,25 +8,18 @@ stderr.  Exit codes: 0 success, 1 usage or input error, 2 empty result,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .errors import NegativeEigenvalue, NodeCountMismatch, NoEigenvalueInRange, QmkitError
 from .grids import RealGrid, SampledFunction
-from .qshje import (
-    floyd_trajectory,
-    qshje_residual,
-    reduced_action_from_pair,
-    suggest_trajectory_grid,
-    write_trajectory_csv,
-)
-from .schrodinger1d import Potential, find_eigenvalues, load_potential_table, solution_pair
+from .qshje import floyd_trajectory, qshje_residual, suggest_trajectory_grid, write_trajectory_csv
+from .schrodinger1d import Potential, find_eigenvalues, load_potential_table
 from .schwarzian import MoebiusMap, cocycle_deviation, moebius_invariance_deviation, schwarzian
 from .saqm import (
     ProbabilityTable,
@@ -280,9 +273,7 @@ def cmd_trajectory(
         potential, energy
     )
     trajectory = floyd_trajectory(potential, energy, grid, dE=de)
-    pair = solution_pair(potential, energy, grid)
-    action = reduced_action_from_pair(pair, hbar=potential.hbar, mass=potential.mass)
-    residual = qshje_residual(action, potential)
+    residual = qshje_residual(trajectory.action, potential)
     if config.output_format == "json":
         payload = json.dumps(
             {
@@ -294,12 +285,8 @@ def cmd_trajectory(
         )
         _emit(payload, config.output_path)
     else:
-        if config.output_path is None:
-            buffer = io.StringIO()
-            write_trajectory_csv(trajectory, buffer)
-            _emit(buffer.getvalue(), None)
-        else:
-            write_trajectory_csv(trajectory, config.output_path)
+        target = sys.stdout if config.output_path is None else config.output_path
+        write_trajectory_csv(trajectory, target)
     print(
         f"{trajectory.t.size} samples, energy {energy}, "
         f"motion-law residual sup-norm {residual:.3e}",
@@ -308,33 +295,20 @@ def cmd_trajectory(
     return _EXIT_OK
 
 
+def _check(name: str, deviation: float, tolerance: float) -> dict:
+    return {"name": name, "max_deviation": deviation, "tolerance": tolerance,
+            "passed": deviation < tolerance}
+
+
 def _audit_schwarzian(config: RunConfig, rng: np.random.Generator) -> dict:
     tol = config.tolerances
-    checks = []
 
     grid = RealGrid(0.0, 1.0, 2001)
     x = grid.points()
     f = np.exp(2j * x)
     analytic = SampledFunction(grid, f, (2j * f, -4.0 * f, -8j * f))
     dev_analytic = float(np.abs(schwarzian(analytic).values - 2.0).max())
-    checks.append(
-        {
-            "name": "unit_phase_curvature_analytic",
-            "max_deviation": dev_analytic,
-            "tolerance": tol["curvature_analytic"],
-            "passed": dev_analytic < tol["curvature_analytic"],
-        }
-    )
-
     dev_fd = float(np.abs(schwarzian(SampledFunction(grid, f)).values - 2.0).max())
-    checks.append(
-        {
-            "name": "unit_phase_curvature_fd",
-            "max_deviation": dev_fd,
-            "tolerance": tol["curvature_fd"],
-            "passed": dev_fd < tol["curvature_fd"],
-        }
-    )
 
     base_grid = RealGrid(-1.0, 1.0, 2001)
     xb = base_grid.points()
@@ -353,14 +327,6 @@ def _audit_schwarzian(config: RunConfig, rng: np.random.Generator) -> dict:
             continue
         worst = max(worst, moebius_invariance_deviation(cubic, MoebiusMap(a, b, c, d)))
         produced += 1
-    checks.append(
-        {
-            "name": "moebius_invariance_20_maps",
-            "max_deviation": worst,
-            "tolerance": tol["moebius_invariance"],
-            "passed": worst < tol["moebius_invariance"],
-        }
-    )
 
     def random_monotone_cubic() -> SampledFunction:
         c3 = rng.uniform(0.2, 1.5)
@@ -381,15 +347,13 @@ def _audit_schwarzian(config: RunConfig, rng: np.random.Generator) -> dict:
             worst_cocycle,
             cocycle_deviation(qa, base_grid, qc, xi=config.hbar, mass=config.mass),
         )
-    checks.append(
-        {
-            "name": "cocycle_10_pairs",
-            "max_deviation": worst_cocycle,
-            "tolerance": tol["cocycle"],
-            "passed": worst_cocycle < tol["cocycle"],
-        }
-    )
 
+    checks = [
+        _check("unit_phase_curvature_analytic", dev_analytic, tol["curvature_analytic"]),
+        _check("unit_phase_curvature_fd", dev_fd, tol["curvature_fd"]),
+        _check("moebius_invariance_20_maps", worst, tol["moebius_invariance"]),
+        _check("cocycle_10_pairs", worst_cocycle, tol["cocycle"]),
+    ]
     return {"suite": "schwarzian", "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
@@ -453,21 +417,11 @@ def _audit_counting(config: RunConfig, rng: np.random.Generator) -> dict:
     report: dict = {"suite": "counting"}
     ok = True
 
-    pair = real_space_violation(2, 2)
-    report["real_qubit_pair"] = {
-        "K_joint": pair.K_joint,
-        "K_product": pair.K_product,
-        "violates": pair.violates,
-    }
-    ok = ok and (pair.K_joint, pair.K_product, pair.violates) == (10, 9, True)
+    pair = report["real_qubit_pair"] = asdict(real_space_violation(2, 2))
+    ok = ok and pair == {"K_joint": 10, "K_product": 9, "violates": True}
 
-    mixed = real_space_violation(2, 3)
-    report["real_mixed_pair"] = {
-        "K_joint": mixed.K_joint,
-        "K_product": mixed.K_product,
-        "violates": mixed.violates,
-    }
-    ok = ok and (mixed.K_joint, mixed.K_product, mixed.violates) == (21, 18, True)
+    mixed = report["real_mixed_pair"] = asdict(real_space_violation(2, 3))
+    ok = ok and mixed == {"K_joint": 21, "K_product": 18, "violates": True}
 
     structure_ok = True
     for r in (1, 2):
@@ -575,10 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "trajectory":
             return cmd_trajectory(config, args.potential, args.energy, args.de)
         return cmd_audit(config, args.suite)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (ValueError, QmkitError) as exc:
+    except (_UsageError, ValueError, QmkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except SystemExit as exc:  # argparse --help

@@ -207,11 +207,9 @@ def table_from_density(state: DensityMatrix, mubs: MubSet) -> ProbabilityTable:
         raise DimensionMismatch(
             f"state dimension {state.dim} does not match basis dimension {mubs.dim}"
         )
-    rows = np.empty((state.dim + 1, state.dim))
-    for b, basis in enumerate(mubs.bases):
-        projected = basis.vectors.conj() @ state.matrix @ basis.vectors.T
-        rows[b] = np.clip(np.diag(projected).real, 0.0, 1.0)
-    return ProbabilityTable(rows)
+    vectors = np.stack([basis.vectors for basis in mubs.bases])
+    rows = np.einsum("bij,jk,bik->bi", vectors.conj(), state.matrix, vectors).real
+    return ProbabilityTable(np.clip(rows, 0.0, 1.0))
 
 
 def density_from_table(table: ProbabilityTable, mubs: MubSet) -> DensityMatrix:
@@ -224,13 +222,9 @@ def density_from_table(table: ProbabilityTable, mubs: MubSet) -> DensityMatrix:
         raise DimensionMismatch(
             f"table dimension {table.dim} does not match basis dimension {mubs.dim}"
         )
-    n = table.dim
-    accum = np.zeros((n, n), dtype=complex)
-    for b, basis in enumerate(mubs.bases):
-        for i in range(n):
-            v = basis.vectors[i]
-            accum += table.rows[b, i] * np.outer(v, v.conj())
-    return DensityMatrix(accum - np.eye(n))
+    vectors = np.stack([basis.vectors for basis in mubs.bases])
+    accum = np.einsum("bi,bij,bik->jk", table.rows, vectors, vectors.conj())
+    return DensityMatrix(accum - np.eye(table.dim))
 
 
 def trace_probability(state: DensityMatrix, effect: np.ndarray) -> float:
@@ -304,16 +298,14 @@ def no_signalling_check(
             f"factor dimensions ({d_a}, {d_b}) do not compose to {rho_joint.dim}"
         )
 
+    vectors_a = np.stack([basis.vectors for basis in mub_a.bases])
+    rho = rho_joint.matrix.reshape(d_a, d_b, d_a, d_b)
+
     def conditioned_table(basis_b: MeasurementBasis) -> np.ndarray:
-        table = np.empty((d_a + 1, d_a))
-        for row, basis_a in enumerate(mub_a.bases):
-            for i in range(d_a):
-                total = 0.0
-                for j in range(d_b):
-                    joint = np.kron(basis_a.vectors[i], basis_b.vectors[j])
-                    total += float((joint.conj() @ rho_joint.matrix @ joint).real)
-                table[row, i] = total
-        return table
+        # Sum over the second factor's outcomes j of <a_ri b_j| rho |a_ri b_j>.
+        b = basis_b.vectors
+        return np.einsum("rix,jy,xyuv,riu,jv->ri",
+                         vectors_a.conj(), b.conj(), rho, vectors_a, b).real
 
     first = conditioned_table(basis_b_first)
     second = conditioned_table(basis_b_second)

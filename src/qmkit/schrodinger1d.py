@@ -40,14 +40,9 @@ __all__ = [
 #: Seed magnitude for decaying-tail starts.
 _TAIL_SEED = 1e-30
 
-#: Rolling renormalization threshold for shooting marches.
-_RENORM_AT = 1e100
-
-#: Hard ceiling for raw integration output.
-_OVERFLOW_AT = 1e250
-
-#: Ceiling for solution-pair marches (their squares must stay representable).
-_PAIR_OVERFLOW_AT = 1e140
+#: Magnitude bound of every march: below it, products of two samples stay
+#: finite.  Marches that may renormalize rescale there; the others raise.
+_MAX_MAGNITUDE = 1e140
 
 #: Eigenvalue polishing stops below this width relative to max(1, |E|).
 _LEVEL_RTOL = 1e-12
@@ -249,8 +244,7 @@ def _coefficients(potential: Potential, energy: float, grid: RealGrid) -> np.nda
     return 1.0 + (grid.spacing**2 / 12.0) * _g_values(potential, energy, grid)
 
 
-def _march_full(c: np.ndarray, y0: float, y1: float, allow_renorm: bool,
-                cap: float = _OVERFLOW_AT) -> np.ndarray:
+def _march_full(c: np.ndarray, y0: float, y1: float, allow_renorm: bool) -> np.ndarray:
     """Full Numerov sweep; whole-array renormalization keeps one solution."""
     coeff = c.tolist()
     out = [y0, y1]
@@ -262,7 +256,7 @@ def _march_full(c: np.ndarray, y0: float, y1: float, allow_renorm: bool,
         out.append(nxt)
         prev, cur = cur, nxt
         cp, cc = cc, cn
-        if abs(nxt) > cap:
+        if abs(nxt) > _MAX_MAGNITUDE:
             if not allow_renorm:
                 raise Overflow(
                     "integration exceeded the representable range; "
@@ -287,7 +281,7 @@ def _march(c: np.ndarray, y0: float, y1: float) -> tuple[int, float, float, floa
             nodes += 1
         older, prev, cur = prev, cur, nxt
         cp, cc = cc, cn
-        if abs(nxt) > _RENORM_AT:
+        if abs(nxt) > _MAX_MAGNITUDE:
             scale = 1.0 / abs(nxt)
             older *= scale
             prev *= scale
@@ -468,7 +462,8 @@ def find_eigenvalues(
     by the window, isolates level k; Brent's method on the match polishes
     it to a width of 1e-12 max(1, |E|), or to the energy resolution of the
     Numerov coefficients where that is wider.  Levels closer than float
-    resolution raise LevelsUnresolved, an eigenfunction without k nodes
+    spacing or than that energy resolution raise LevelsUnresolved (a
+    tunnelling doublet the grid cannot split), an eigenfunction without k nodes
     raises NodeCountMismatch (the grid under-resolves it).  For soft
     potentials only energies classically forbidden at both grid edges are
     searchable; a window with no such level raises NoEigenvalueInRange.
@@ -516,6 +511,9 @@ def find_eigenvalues(
         f_lo = shots[lo][1] if shots[lo][2] == im else _shoot(potential, lo, grid, im)[1]
         level = _brent(lambda e: _shoot(potential, e, grid, im)[1], lo, hi, f_lo, f_hi,
                        max(_LEVEL_RTOL * max(1.0, abs(lo), abs(hi)), resolution))
+        if energies and level - energies[-1] < resolution:
+            raise LevelsUnresolved(f"levels {k - 1} and {k} at E = {level!r} lie closer "
+                                   f"than the grid's energy resolution {resolution:.1e}")
         energies.append(level)
         functions.append(_assemble_eigenfunction(potential, level, grid, k))
 
@@ -588,9 +586,8 @@ def _taylor_start(g: np.ndarray, h: float, i0: int, value: float,
 
 def _march_both_ways(c: np.ndarray, i0: int, at: float, plus: float,
                      minus: float) -> np.ndarray:
-    right = _march_full(c[i0:], at, plus, allow_renorm=False, cap=_PAIR_OVERFLOW_AT)
-    left = _march_full(c[: i0 + 1][::-1], at, minus, allow_renorm=False,
-                       cap=_PAIR_OVERFLOW_AT)
+    right = _march_full(c[i0:], at, plus, allow_renorm=False)
+    left = _march_full(c[: i0 + 1][::-1], at, minus, allow_renorm=False)
     return np.concatenate([left[::-1][:-1], right])
 
 

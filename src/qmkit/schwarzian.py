@@ -69,6 +69,12 @@ def _check_monotone(d1: np.ndarray, name: str) -> None:
         raise NonMonotoneMap(f"{name} must be strictly monotone on the grid")
 
 
+def _braces(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.ndarray:
+    """{f, x} from samples of f', f'' and f'''; the one copy of the formula."""
+    r2 = d2 / d1
+    return d3 / d1 - 1.5 * r2 * r2
+
+
 def schwarzian(f: SampledFunction) -> SampledFunction:
     """Schwarzian derivative of ``f`` with respect to its grid coordinate.
 
@@ -79,9 +85,7 @@ def schwarzian(f: SampledFunction) -> SampledFunction:
     """
     d1, d2, d3, trim = derivative_table(f)
     _check_first_derivative(d1)
-    r2 = d2 / d1
-    values = d3 / d1 - 1.5 * r2 * r2
-    return SampledFunction(f.grid.interior(trim), values)
+    return SampledFunction(f.grid.interior(trim), _braces(d1, d2, d3))
 
 
 def apply_moebius(m: MoebiusMap, f: SampledFunction) -> SampledFunction:
@@ -174,11 +178,8 @@ def cocycle_deviation(
     f3 = (a3 * c1**2 - a1 * c3 * c1 - 3.0 * a2 * c1 * c2 + 3.0 * a1 * c2**2) / c1**5
 
     factor = -(xi * xi) / (4.0 * mass)
-    lhs = factor * (f3 / f1 - 1.5 * (f2 / f1) ** 2)
-
-    s_a = factor * (a3 / a1 - 1.5 * (a2 / a1) ** 2)
-    s_c = factor * (c3 / c1 - 1.5 * (c2 / c1) ** 2)
-    rhs = (s_a - s_c) / c1**2
+    lhs = factor * _braces(f1, f2, f3)
+    rhs = factor * (_braces(a1, a2, a3) - _braces(c1, c2, c3)) / c1**2
     return float(np.abs(lhs - rhs).max())
 
 
@@ -213,7 +214,5 @@ def transform_W(
     w_vals = W.values[trim : W.grid.n_points - trim] if trim else W.values
     values = d1 * d1 * w_vals
     if inhomogeneous:
-        r2 = d2 / d1
-        braces = d3 / d1 - 1.5 * r2 * r2
-        values = values + (-(xi * xi) / (4.0 * mass)) * braces
+        values = values + (-(xi * xi) / (4.0 * mass)) * _braces(d1, d2, d3)
     return SampledFunction(W.grid.interior(trim), values)

@@ -144,7 +144,47 @@ class TestSpectrum:
         assert "error:" in err
 
 
+class TestOutputTarget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--potential", "harmonic", "--range", "0:2"),
+            ("trajectory", "--potential", "free", "--energy", "0.5", "--grid", "0:10:501"),
+            ("audit", "counting"),
+        ],
+        ids=["spectrum", "trajectory", "audit"],
+    )
+    @pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, argv, target):
+        out = {"missing-directory": str(tmp_path / "absent" / "x.csv"),
+               "directory": str(tmp_path), "empty": ""}[target]
+        code, stdout, err = run(capsys, *argv, "--out", out)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ")
+
+
 class TestTrajectory:
+    def test_one_run_marches_three_solution_pairs(self, capsys, monkeypatch):
+        # Pairs at E - dE, E and E + dE, four marches each; the residual
+        # reuses the action at E instead of building a fourth pair.
+        from qmkit import schrodinger1d
+
+        calls = []
+        march = schrodinger1d._march_full
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(schrodinger1d, "_march_full", counted)
+        code, _, err = run(
+            capsys, "trajectory", "--potential", "harmonic", "--energy", "0.5"
+        )
+        assert code == 0
+        assert "residual sup-norm" in err
+        assert len(calls) == 12
+
     def test_free_particle_time_column_is_linear(self, capsys):
         code, out, err = run(
             capsys,

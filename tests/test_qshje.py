@@ -274,3 +274,15 @@ class TestCsvExports:
         # One point is trimmed per edge by the derivative stencils.
         assert data.shape == (FREE_GRID.n_points - 2, 5)
         assert np.abs(data[:, 4]).max() < 1e-8
+
+    def test_residual_csv_column_matches_the_residual_norm(self):
+        pot = Potential.harmonic()
+        _, _, action = harmonic_action(0.5, RealGrid(-4.0, 4.0, 4001))
+        buffer = io.StringIO()
+        write_residual_csv(action, pot, buffer)
+        residual = np.loadtxt(io.StringIO(buffer.getvalue()), delimiter=",",
+                              skiprows=1)[:, 4]
+        # The central 90% of the full grid, shifted onto the interior rows.
+        trim = int(math.floor(0.05 * action.grid.n_points))
+        window = residual[trim - 1 : action.grid.n_points - trim - 1]
+        assert np.abs(window).max() == qshje_residual(action, pot)

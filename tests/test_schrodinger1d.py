@@ -288,6 +288,15 @@ def test_levels_closer_than_float_spacing_raise():
         find_eigenvalues(double_well, (0.0, 30.0), 4)
 
 
+def test_doublet_below_the_grid_energy_resolution_raises():
+    # Levels 0 and 1 of this well are split far below the energy
+    # resolution of a 4001-point grid and polish to one energy.
+    q = np.linspace(-10.0, 10.0, 4001)
+    double_well = Potential.tabulated(q, (q * q - 25.0) ** 2)
+    with pytest.raises(LevelsUnresolved, match="energy resolution"):
+        find_eigenvalues(double_well, (0.0, 30.0), 4)
+
+
 def test_deep_double_well_ground_state_is_normalized():
     # The left march crosses a barrier of height 625 and grows to about
     # 1e163; squaring those samples must not overflow the normalization.
