@@ -220,10 +220,10 @@ def parse_potential(text: str, *, hbar: float = 1.0, mass: float = 1.0) -> Poten
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text ending in a newline to stdout or to ``out_path``."""
+    text = text if text.endswith("\n") else text + "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)

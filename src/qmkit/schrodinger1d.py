@@ -1,13 +1,15 @@
 """Stationary one-dimensional wave equation on a uniform grid.
 
 The second-order equation psi'' = -g(q) psi with g = 2 m (E - V)/hbar^2 is
-integrated by the Numerov three-term recurrence (sixth-order local error).
-Bound states of confining potentials are located by shooting: one sweep
-of decaying solutions inward from both edges to the rightmost turning
-point yields the number of levels below the trial energy (a Sturm count)
-and a pole-free match; levels are isolated by bisecting on the count and
-polished by Brent's method on the match.  The module also builds the
-canonical solution pairs that the reduced-action reconstruction consumes.
+integrated by the Numerov three-term recurrence (sixth-order local error),
+marched in ratio form y_{i+1}/y_i: no march overflows, and every node is
+one negative ratio.  Bound states of confining potentials are located by
+shooting: one sweep of decaying solutions inward from both edges to the
+rightmost turning point yields the number of levels below the trial energy
+(a Sturm count) and a pole-free match; levels are isolated by bisecting on
+the count and polished by Brent's method on the match.  The module also
+builds the canonical solution pairs that the reduced-action reconstruction
+consumes.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ __all__ = [
     "wronskian_profile",
 ]
 
-#: Seed magnitude for decaying-tail starts.
-_TAIL_SEED = 1e-30
-
-#: Magnitude bound of every march: below it, products of two samples stay
-#: finite.  Marches that may renormalize rescale there; the others raise.
+#: Magnitude bound of stored samples: products of two of them stay finite.
 _MAX_MAGNITUDE = 1e140
 
 #: Eigenvalue polishing stops below this width relative to max(1, |E|).
@@ -215,7 +213,9 @@ class SolutionPair:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Bound-state energies with node counts and normalized eigenfunctions."""
+    """Bound-state energies with node counts and normalized eigenfunctions,
+    each signed so that its leftmost lobe (its first sample above 1e-9 of
+    its peak) is positive."""
 
     energies: np.ndarray
     node_counts: tuple[int, ...]
@@ -231,7 +231,7 @@ class EigenResult:
 
 
 # ---------------------------------------------------------------------------
-# Numerov marches (plain-float loops: the recurrence cannot be vectorized)
+# the Numerov march in ratio form (a plain-float loop: it cannot vectorize)
 
 
 def _g_values(potential: Potential, energy: float, grid: RealGrid) -> np.ndarray:
@@ -244,49 +244,52 @@ def _coefficients(potential: Potential, energy: float, grid: RealGrid) -> np.nda
     return 1.0 + (grid.spacing**2 / 12.0) * _g_values(potential, energy, grid)
 
 
-def _march_full(c: np.ndarray, y0: float, y1: float, allow_renorm: bool) -> np.ndarray:
-    """Full Numerov sweep; whole-array renormalization keeps one solution."""
+def _ratios(c: np.ndarray, y0: float, y1: float) -> list[float]:
+    """Ratios r_i = y_{i+1}/y_i of the Numerov solution seeded by (y0, y1).
+
+    The recurrence c_{i+1} y_{i+1} = (12 - 10 c_i) y_i - c_{i-1} y_{i-1}
+    becomes r_i = ((12 - 10 c_i) - c_{i-1}/r_{i-1}) / c_{i+1} (Johnson,
+    J. Chem. Phys. 69, 4678 (1978)): it cannot overflow, and every sign
+    change of the solution is one negative ratio.  A zero seed y0 gives
+    r_0 = inf.  An exact zero sample y_{k+1} = 0 is stored as r_k = 0
+    followed by the two-step ratio y_{k+2}/y_k = -c_k/c_{k+2}.
+    """
     coeff = c.tolist()
-    out = [y0, y1]
-    prev, cur = y0, y1
-    cp, cc = coeff[0], coeff[1]
-    for i in range(2, len(coeff)):
-        cn = coeff[i]
-        nxt = ((12.0 - 10.0 * cc) * cur - cp * prev) / cn
-        out.append(nxt)
-        prev, cur = cur, nxt
-        cp, cc = cc, cn
-        if abs(nxt) > _MAX_MAGNITUDE:
-            if not allow_renorm:
-                raise Overflow(
-                    "integration exceeded the representable range; "
-                    "renormalize or shrink the domain"
-                )
-            scale = 1.0 / abs(nxt)
-            out = [value * scale for value in out]
-            prev *= scale
-            cur *= scale
-    return np.asarray(out)
+    diag = (12.0 - 10.0 * c).tolist()
+    out = [y1 / y0 if y0 else math.inf]
+    append, r = out.append, out[0]
+    while True:
+        k = len(out)
+        try:
+            for d, cp, cn in zip(diag[k:-1], coeff[k - 1 :], coeff[k + 1 :]):
+                r = (d - cp / r) / cn
+                append(r)
+            return out
+        except ZeroDivisionError:  # r = 0: bridge the zero sample, go on from 1/0
+            append(-coeff[len(out) - 1] / coeff[len(out) + 1])
+            r = math.inf
 
 
-def _march(c: np.ndarray, y0: float, y1: float) -> tuple[int, float, float, float]:
-    """Sweep; return its strict sign changes and its last three values."""
-    coeff = c.tolist()
-    nodes = 0
-    older, prev, cur = 0.0, y0, y1
-    cp, cc = coeff[0], coeff[1]
-    for cn in coeff[2:]:
-        nxt = ((12.0 - 10.0 * cc) * cur - cp * prev) / cn
-        if cur * nxt < 0.0:
-            nodes += 1
-        older, prev, cur = prev, cur, nxt
-        cp, cc = cc, cn
-        if abs(nxt) > _MAX_MAGNITUDE:
-            scale = 1.0 / abs(nxt)
-            older *= scale
-            prev *= scale
-            cur *= scale
-    return nodes, older, prev, cur
+def _samples(c: np.ndarray, y0: float, y1: float, log: bool = False):
+    """Samples of the Numerov solution seeded by (y0, y1), rebuilt from its
+    ratios.  Raises Overflow past the range where products of two samples
+    stay finite; with ``log`` it returns (log|y|, sign y), which cannot."""
+    factors = np.concatenate([[y0], np.fromiter(_ratios(c, y0, y1), float)])
+    zero = factors == 0.0  # exact zero samples; the next factor bridges each
+    factors[zero] = 1.0
+    if not y0:
+        factors[1] = y1
+    if log:
+        logs = np.cumsum(np.log(np.abs(factors)))
+        logs[zero] = -np.inf
+        return logs, np.cumprod(np.sign(factors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.cumprod(factors)
+    values[zero] = 0.0
+    if not np.abs(values).max() <= _MAX_MAGNITUDE:
+        raise Overflow("integration exceeded the representable range; "
+                       "renormalize or shrink the domain")
+    return values
 
 
 def numerov_integrate(
@@ -305,11 +308,8 @@ def numerov_integrate(
     """
     if direction not in ("left-to-right", "right-to-left"):
         raise ValueError("direction must be 'left-to-right' or 'right-to-left'")
-    c = _coefficients(potential, energy, grid)
-    if direction == "right-to-left":
-        values = _march_full(c[::-1], seed[0], seed[1], allow_renorm=False)[::-1]
-    else:
-        values = _march_full(c, seed[0], seed[1], allow_renorm=False)
+    order = slice(None, None, -1 if direction == "right-to-left" else 1)
+    values = _samples(_coefficients(potential, energy, grid)[order], *seed)[order]
     return Wavefunction(grid, values, energy)
 
 
@@ -318,15 +318,16 @@ def numerov_integrate(
 
 
 def _decay_seeds(potential: Potential, energy: float, grid: RealGrid):
-    """Starting values of the solutions decaying into the left and right edges."""
+    """Starting values of the solutions decaying into the left and right edges
+    (their scale is immaterial: only their ratios are marched)."""
     if potential.hard_wall:
-        return (0.0, 1e-6), (0.0, 1e-6)
+        return (0.0, 1.0), (0.0, 1.0)
     gaps = potential.evaluate(np.array([grid.q_min, grid.q_max])) - energy
     if gaps.min() <= 0.0:
         raise ValueError("energy is not classically forbidden at the grid edge; "
                          "the decaying seed is undefined")
     kappa = np.sqrt(2.0 * potential.mass * gaps) / potential.hbar
-    return tuple((_TAIL_SEED, _TAIL_SEED * math.exp(k * grid.spacing)) for k in kappa)
+    return tuple((1.0, math.exp(k * grid.spacing)) for k in kappa)
 
 
 def _matching_index(potential: Potential, energy: float, grid: RealGrid) -> int:
@@ -349,10 +350,22 @@ def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid) -> float
     c = _coefficients(potential, energy, grid)
     im = _matching_index(potential, energy, grid)
     seed_l, seed_r = _decay_seeds(potential, energy, grid)
-    _, below, at, above = _march(c[: im + 2], *seed_l)
-    _, above_r, at_r, below_r = _march(c[im - 1 :][::-1], *seed_r)
-    return ((above - below) / (at or 1e-300)
-            - (above_r - below_r) / (at_r or 1e-300)) / (2.0 * grid.spacing)
+    # (y_{im+1} - y_{im-1}) / y_im on each side; the right march ends at im-1.
+    left = _ratios(c[: im + 2], *seed_l)
+    right = _ratios(c[im - 1 :][::-1], *seed_r)
+    return (left[-1] - 1.0 / (left[-2] or 1e-300)
+            - 1.0 / (right[-2] or 1e-300) + right[-1]) / (2.0 * grid.spacing)
+
+
+def _end(ratios: list[float]) -> tuple[int, float, float]:
+    """Sign changes of a march up to its next-to-last sample p, and its last
+    two samples (p, q) scaled to unit length with p >= 0.  An exact zero
+    sample keeps the sign of the sample before it."""
+    nodes = int(np.count_nonzero(np.fromiter(ratios, float, len(ratios) - 1) < 0.0))
+    if ratios[-2] == 0.0:  # p = 0; the last ratio bridges over it
+        return nodes, 0.0, math.copysign(1.0, ratios[-1])
+    norm = math.hypot(1.0, ratios[-1])
+    return nodes, 1.0 / norm, ratios[-1] / norm
 
 
 def _shoot(potential: Potential, energy: float, grid: RealGrid,
@@ -364,16 +377,17 @@ def _shoot(potential: Potential, energy: float, grid: RealGrid,
     at (im, im+1), written cancellation-free and scaled to the sine of the
     angle between them, so it is pole-free and smooth in energy at fixed
     im.  The Sturm count (a's sign changes up to im, b's from im on, plus
-    one when a0 b0 w > 0) does not depend on im."""
+    one when b1/b0 > a1/a0) does not depend on im."""
     c = _coefficients(potential, energy, grid)
     if im is None:
         im = _matching_index(potential, energy, grid)
     seed_l, seed_r = _decay_seeds(potential, energy, grid)
-    nl, _, a0, a1 = _march(c[: im + 2], *seed_l)
-    nr, _, b1, b0 = _march(c[im:][::-1], *seed_r)
-    w = a0 * (b1 - b0) - b0 * (a1 - a0)
-    w /= math.hypot(a0, a1) * math.hypot(b0, b1)
-    count = nl - (a0 * a1 < 0.0) + nr + (a0 * b0 * w > 0.0)
+    # Unit tails up to the signs (-1)^nl and (-1)^nr of a0 and b1.
+    nl, a0, a1 = _end(_ratios(c[: im + 2], *seed_l))
+    nr, b1, b0 = _end(_ratios(c[im:][::-1], *seed_r))
+    cross = a0 * b1 - b0 * a1
+    w = -cross if (nl + nr) % 2 else cross
+    count = nl + nr + (b0 < 0.0) + (cross < 0.0 if b0 < 0.0 else cross > 0.0)
     return count, w, im
 
 
@@ -418,30 +432,31 @@ def _assemble_eigenfunction(
     c = _coefficients(potential, energy, grid)
     im = _matching_index(potential, energy, grid)
 
+    # Both halves in log form: a decaying solution can grow past the float
+    # range before it reaches the matching point.
     seed_l, seed_r = _decay_seeds(potential, energy, grid)
-    left = _march_full(c[: im + 2], *seed_l, allow_renorm=True)
-    right = _march_full(c[im - 1 :][::-1], *seed_r, allow_renorm=True)[::-1]
+    left_log, left_sign = _samples(c[: im + 2], *seed_l, log=True)
+    right_log, right_sign = (part[::-1] for part in _samples(c[im - 1 :][::-1], *seed_r, log=True))
 
     # The two marches overlap on indices im-1..im+1.  A node of the true
     # eigenfunction can sit on any one grid point, leaving roundoff-level
     # samples with meaningless signs, so anchor the splice at the overlap
     # sample where both marches stand farthest from zero.
-    overlap = [(min(abs(left[im - 1 + j]), abs(right[j])), j) for j in range(3)]
-    _, j_best = max(overlap)
-    anchor_left, anchor_right = left[im - 1 + j_best], right[j_best]
-    if anchor_right == 0.0:
+    j = int(np.argmax(left_log[im - 1 :] + right_log[:3]))
+    shift = left_log[im - 1 + j] - right_log[j]
+    if not math.isfinite(shift):
         raise DegeneratePair("matching point collapsed to zero on both sides")
-    scale = anchor_left / anchor_right
-    values = np.concatenate([left[:im], right[1:] * scale])
+    logs = np.concatenate([left_log[:im], right_log[1:] + shift])
+    signs = np.concatenate([left_sign[:im], right_sign[1:] * left_sign[im - 1 + j] * right_sign[j]])
+    values = signs * np.exp(logs - logs.max())  # peak 1: the squares stay finite
 
-    values = values / np.abs(values).max()  # keeps the squares below finite
-    values = values / math.sqrt(float(np.trapezoid(values * values, dx=grid.spacing)))
-    if values[int(np.argmax(np.abs(values)))] < 0.0:
-        values = -values
     # A node can land exactly on a grid point, leaving a roundoff-level
     # sample whose sign is noise; count sign changes over the samples that
     # stand clear of that noise so such a node is seen once, not twice.
-    clear = values[np.abs(values) > 1e-9 * float(np.abs(values).max())]
+    # The first of them sets the overall sign.
+    clear = values[np.abs(values) > 1e-9]
+    norm = math.sqrt(float(np.trapezoid(values * values, dx=grid.spacing)))
+    values = values * (math.copysign(1.0, clear[0]) / norm)
     nodes = int(np.count_nonzero(clear[:-1] * clear[1:] < 0.0))
     if nodes != index:
         raise NodeCountMismatch(f"level {index} at E = {energy!r} shows {nodes} nodes; the "
@@ -487,6 +502,8 @@ def find_eigenvalues(
 
     # Energies closer than this leave every Numerov coefficient within two ulps.
     resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
+    doublet = ("two levels near E = %r lie closer than float spacing or than the grid's "
+               f"energy resolution {resolution:.1e}; the grid cannot separate them")
     shots = {e: _shoot(potential, e, grid) for e in (e_lo, search_hi)}
     k_lo, k_hi = shots[e_lo][0], shots[search_hi][0]
     if k_hi <= k_lo:
@@ -502,7 +519,7 @@ def find_eigenvalues(
                 break
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
-                raise LevelsUnresolved(f"levels near E = {mid!r} closer than float spacing")
+                raise LevelsUnresolved(doublet % mid)
             shots[mid] = _shoot(potential, mid, grid)
         else:
             raise LevelsUnresolved(f"level {k} not isolated in {_LEVEL_MAX_ITER} steps")
@@ -512,8 +529,7 @@ def find_eigenvalues(
         level = _brent(lambda e: _shoot(potential, e, grid, im)[1], lo, hi, f_lo, f_hi,
                        max(_LEVEL_RTOL * max(1.0, abs(lo), abs(hi)), resolution))
         if energies and level - energies[-1] < resolution:
-            raise LevelsUnresolved(f"levels {k - 1} and {k} at E = {level!r} lie closer "
-                                   f"than the grid's energy resolution {resolution:.1e}")
+            raise LevelsUnresolved(doublet % level)
         energies.append(level)
         functions.append(_assemble_eigenfunction(potential, level, grid, k))
 
@@ -584,13 +600,6 @@ def _taylor_start(g: np.ndarray, h: float, i0: int, value: float,
     return plus, minus
 
 
-def _march_both_ways(c: np.ndarray, i0: int, at: float, plus: float,
-                     minus: float) -> np.ndarray:
-    right = _march_full(c[i0:], at, plus, allow_renorm=False)
-    left = _march_full(c[: i0 + 1][::-1], at, minus, allow_renorm=False)
-    return np.concatenate([left[::-1][:-1], right])
-
-
 def solution_pair(
     potential: Potential,
     energy: float,
@@ -621,21 +630,11 @@ def solution_pair(
                 1.0 / (grid.q_max - grid.q_min))
 
     c = 1.0 + (h * h / 12.0) * g
-    u_plus, u_minus = _taylor_start(g, h, i0, 1.0, 0.0)
-    v_plus, v_minus = _taylor_start(g, h, i0, 0.0, kappa)
-    u = _march_both_ways(c, i0, 1.0, u_plus, u_minus)
-    v = _march_both_ways(c, i0, 0.0, v_plus, v_minus)
-
-    wbar = _validated_wronskian(u, v, g, h)
-    scale = math.sqrt(potential.hbar / abs(wbar))
-    u = u * scale
-    v = v * scale * (1.0 if wbar > 0 else -1.0)
-
-    return SolutionPair(
-        Wavefunction(grid, u, energy),
-        Wavefunction(grid, v, energy),
-        potential.hbar,
-    )
+    u, v = (np.concatenate([_samples(c[i0::-1], at, minus)[:0:-1], _samples(c[i0:], at, plus)])
+            for at, (plus, minus) in ((1.0, _taylor_start(g, h, i0, 1.0, 0.0)),
+                                      (0.0, _taylor_start(g, h, i0, 0.0, kappa))))
+    return pair_from_wavefunctions(Wavefunction(grid, u, energy), Wavefunction(grid, v, energy),
+                                   potential)
 
 
 def pair_from_wavefunctions(

@@ -3,9 +3,10 @@
 Every numeric expectation frozen into the test suite traces back to one of
 the helpers here: symbolic differentiation for Schwarzian-derivative
 values, 2x2 matrix algebra for fractional-linear composition, closed-form
-spectra for the built-in potentials, a full-sweep Numerov node count, and
-brute-force path enumeration for amplitude networks.  None of these share
-code with the library under test.
+spectra and eigenfunctions for the built-in potentials, a full-sweep Numerov
+node count, the plain Numerov recurrence, and brute-force path enumeration
+for amplitude networks.  None of these share code with the library under
+test.
 """
 
 from __future__ import annotations
@@ -88,6 +89,29 @@ def numerov_node_count(g: np.ndarray, h: float) -> int:
         if abs(cur) > 1e100:
             prev, cur = prev / abs(cur), cur / abs(cur)
     return int(nodes)
+
+
+def numerov_samples(g: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
+    """Samples of the Numerov solution of psi'' = -g psi seeded by (y0, y1),
+    marched by the plain three-term recurrence with no rescaling."""
+    c = (1.0 + h * h * np.asarray(g, dtype=float) / 12.0).tolist()
+    y = [y0, y1]
+    for i in range(1, len(c) - 1):
+        y.append(((12.0 - 10.0 * c[i]) * y[i] - c[i - 1] * y[i - 1]) / c[i + 1])
+    return np.array(y)
+
+
+def harmonic_eigenfunction(n: int, q: np.ndarray) -> np.ndarray:
+    """Normalized oscillator state n (hbar = m = omega = 1), signed so that
+    its leftmost lobe is positive: (-1)^n H_n(q) exp(-q^2/2) / norm."""
+    hermite = np.polynomial.hermite.Hermite.basis(n)(q)
+    norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    return (-1) ** n * hermite * np.exp(-0.5 * q * q) / norm
+
+
+def well_eigenfunction(n: int, q: np.ndarray, length: float = 1.0) -> np.ndarray:
+    """Normalized hard-wall state sqrt(2/L) sin(n pi q/L), n >= 1."""
+    return math.sqrt(2.0 / length) * np.sin(n * math.pi * q / length)
 
 
 def path_sum_amplitude(network: AmplitudeNetwork) -> complex:

@@ -163,6 +163,24 @@ class TestOutputTarget:
         assert stdout == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--potential", "harmonic", "--range", "0:3", "--format", "json"),
+            ("audit", "counting"),
+        ],
+        ids=["spectrum-json", "audit"],
+    )
+    def test_out_file_holds_the_bytes_of_stdout(self, capsys, tmp_path, argv):
+        target = tmp_path / "out"
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        code, empty, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert empty == ""
+        assert stdout.endswith("\n")
+        assert target.read_bytes() == stdout.encode("utf-8")
+
 
 class TestTrajectory:
     def test_one_run_marches_three_solution_pairs(self, capsys, monkeypatch):
@@ -171,13 +189,13 @@ class TestTrajectory:
         from qmkit import schrodinger1d
 
         calls = []
-        march = schrodinger1d._march_full
+        march = schrodinger1d._ratios
 
         def counted(*args, **kwargs):
             calls.append(args)
             return march(*args, **kwargs)
 
-        monkeypatch.setattr(schrodinger1d, "_march_full", counted)
+        monkeypatch.setattr(schrodinger1d, "_ratios", counted)
         code, _, err = run(
             capsys, "trajectory", "--potential", "harmonic", "--energy", "0.5"
         )

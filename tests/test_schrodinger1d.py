@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmkit.schrodinger1d as schrodinger1d
-from oracles import harmonic_level, numerov_node_count, well_level
+from oracles import (harmonic_eigenfunction, harmonic_level, numerov_node_count,
+                     numerov_samples, well_eigenfunction, well_level)
 from qmkit import (
     DegeneratePair,
     GridTooSmall,
@@ -169,6 +170,36 @@ def test_unbounded_growth_raises_overflow():
         numerov_integrate(Potential.harmonic(), 0.0, grid, seed=(1.0, 1.1))
 
 
+@pytest.mark.parametrize("direction", ["left-to-right", "right-to-left"])
+@pytest.mark.parametrize("seed", [(0.0, 1.0), (1.0, 0.0), (0.0, -2.5)])
+def test_exact_zero_samples_match_the_plain_recurrence_exactly(direction, seed):
+    # h = 0.1 and E = 120 give c = 1.2 everywhere, so 12 - 10 c = 0 and the
+    # recurrence steps y_{i+1} = -y_{i-1}: every other sample is exactly 0.
+    grid = RealGrid(0.0, 1.0, 11)
+    wave = numerov_integrate(Potential.free(), 120.0, grid, direction=direction, seed=seed)
+    expected = numerov_samples(np.full(11, 240.0), grid.spacing, *seed)
+    if direction == "right-to-left":
+        expected = expected[::-1]
+    assert np.array_equal(wave.values, expected)
+
+
+@pytest.mark.parametrize(
+    "potential, energy, grid, seed",
+    [
+        (Potential.harmonic(), 3.7, HARMONIC_GRID, (0.0, 1e-6)),
+        (Potential.infinite_well(1.0), 40.0, WELL_GRID, (0.0, 1e-6)),
+        (Potential.linear(), 1.0, RealGrid(-5.0, 5.0, 2001), (0.0, 1e-6)),
+        (Potential.free(), 0.5, RealGrid(0.0, 10.0, 4001), (0.0, math.sin(0.0025))),
+    ],
+    ids=["harmonic", "well", "linear", "free"],
+)
+def test_integration_matches_the_plain_recurrence(potential, energy, grid, seed):
+    wave = numerov_integrate(potential, energy, grid, seed=seed)
+    g = 2.0 * (energy - potential.evaluate(grid.points()))
+    expected = numerov_samples(g, grid.spacing, *seed)
+    assert np.abs(wave.values - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
 # ---------------------------------------------------------------------------
 # shoot_mismatch
 
@@ -228,6 +259,20 @@ def test_eigenfunctions_are_orthonormal():
         for j, psi_j in enumerate(result.wavefunctions):
             inner = float(np.trapezoid(psi_i.values * psi_j.values, dx=h))
             assert abs(inner - (1.0 if i == j else 0.0)) < 1e-6
+
+
+def test_eigenfunction_sign_puts_the_first_lobe_positive():
+    # Mirror-symmetric states have two equal peaks, so the largest sample
+    # cannot fix the sign; the leftmost lobe does.
+    harmonic = find_eigenvalues(Potential.harmonic(), (0.0, 10.0), 64, HARMONIC_GRID)
+    well = find_eigenvalues(Potential.infinite_well(1.0), (0.0, 700.0), 64, WELL_GRID)
+    assert len(harmonic.energies) == 10 and len(well.energies) == 11
+    for n, psi in enumerate(harmonic.wavefunctions):
+        expected = harmonic_eigenfunction(n, HARMONIC_GRID.points())
+        assert np.abs(psi.values - expected).max() < 1e-6, n
+    for n, psi in enumerate(well.wavefunctions, start=1):
+        expected = well_eigenfunction(n, WELL_GRID.points())
+        assert np.abs(psi.values - expected).max() < 1e-6, n
 
 
 def test_energies_come_out_strictly_increasing():
@@ -297,6 +342,18 @@ def test_doublet_below_the_grid_energy_resolution_raises():
         find_eigenvalues(double_well, (0.0, 30.0), 4)
 
 
+@pytest.mark.parametrize("amplitude", [2.0 * (1.0 - 1e-12), 2.0 * (1.0 + 1e-12),
+                                       2.0 * (1.0 + 1e-9), 1.99, 2.01])
+def test_unresolved_doublet_has_one_message(amplitude):
+    # Rounding decides whether the count bracket collapses to adjacent
+    # floats or two polished levels coincide; both report one condition.
+    q = np.linspace(-6.0, 6.0, 4001)
+    double_well = Potential.tabulated(q, amplitude * (q * q - 9.0) ** 2)
+    with pytest.raises(LevelsUnresolved, match="float spacing or than the grid's energy "
+                                                "resolution"):
+        find_eigenvalues(double_well, (0.0, 30.0), 4)
+
+
 def test_deep_double_well_ground_state_is_normalized():
     # The left march crosses a barrier of height 625 and grows to about
     # 1e163; squaring those samples must not overflow the normalization.
@@ -363,6 +420,22 @@ def test_one_sweep_count_equals_full_grid_node_count(potential, grid, top):
         g = 2.0 * (energy - potential.evaluate(q))
         count = schrodinger1d._shoot(potential, float(energy), grid)[0]
         assert count == numerov_node_count(g, grid.spacing), energy
+
+
+def test_count_sees_a_node_on_an_exact_zero_sample_once():
+    # On 11 points with E = 120 every Numerov coefficient is 1.2 and the
+    # solution 0, 1, 0, -1, ... meets both walls: E is the discrete level
+    # with 4 nodes, each on an exact zero sample.  Four levels lie below
+    # it, and five below energies just above it.
+    grid = RealGrid(0.0, 1.0, 11)
+    well = Potential.infinite_well(1.0)
+    energies = (120.0 - 1e-7, 120.0, 120.0 + 1e-7)
+    shots = [schrodinger1d._shoot(well, e, grid) for e in energies]
+    counts = [shot[0] for shot in shots]
+    assert counts == [4, 4, 5]
+    assert shots[1][1] == 0.0  # the match vanishes on the level
+    for e, count in zip(energies[::2], counts[::2]):
+        assert count == numerov_node_count(np.full(11, 2.0 * e), grid.spacing)
 
 
 # ---------------------------------------------------------------------------
