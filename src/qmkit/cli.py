@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -69,8 +69,6 @@ class _UsageError(Exception):
 class RunConfig:
     """Validated run-wide settings shared by all subcommands."""
 
-    hbar: float = 1.0
-    mass: float = 1.0
     grid: RealGrid | None = None
     output_format: str = "csv"
     output_path: str | None = None
@@ -78,8 +76,6 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.hbar < math.inf and 0 < self.mass < math.inf):
-            raise ValueError("physical constants must be positive and finite")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         merged = dict(_DEFAULT_TOLERANCES)
@@ -103,34 +99,30 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qmkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--grid", help="qmin:qmax:n, e.g. -10:10:4001")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="write data to this file instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--tol-override",
-            action="append",
-            default=[],
-            metavar="NAME=VALUE",
-            help="override an audit tolerance; repeatable",
-        )
+    # spectrum and trajectory write data; audit writes only its JSON report.
+    data = _Parser(add_help=False)
+    data.add_argument("--grid", help="qmin:qmax:n, e.g. -10:10:4001")
+    data.add_argument("--format", choices=("csv", "json"), default="csv")
+    data.add_argument("--out", help="write data to this file instead of stdout")
 
-    p_spec = sub.add_parser("spectrum", help="bound-state energies and node counts")
+    p_spec = sub.add_parser("spectrum", parents=[data],
+                            help="bound-state energies and node counts")
     p_spec.add_argument("--potential", required=True)
     p_spec.add_argument("--range", required=True, dest="energy_range", help="lo:hi")
     p_spec.add_argument("--count", type=int, default=64, help="maximum levels to report")
-    common(p_spec)
 
-    p_traj = sub.add_parser("trajectory", help="time-parameterized path (t, q, p)")
+    p_traj = sub.add_parser("trajectory", parents=[data],
+                            help="time-parameterized path (t, q, p)")
     p_traj.add_argument("--potential", required=True)
     p_traj.add_argument("--energy", type=float, required=True)
     p_traj.add_argument("--de", type=float, default=None, help="energy step for dt = dS/dE")
-    common(p_traj)
 
     p_audit = sub.add_parser("audit", help="run an invariant suite, emit a JSON report")
     p_audit.add_argument("suite", choices=_AUDIT_SUITES + ("all",))
-    common(p_audit)
+    p_audit.add_argument("--out", help="write the report to this file instead of stdout")
+    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--tol-override", action="append", default=[], metavar="NAME=VALUE",
+                         help="override an audit tolerance; repeatable")
 
     return parser
 
@@ -191,29 +183,27 @@ def _parse_params(text: str, allowed: dict[str, float]) -> dict[str, float]:
     return params
 
 
-def parse_potential(text: str, *, hbar: float = 1.0, mass: float = 1.0) -> Potential:
+def parse_potential(text: str) -> Potential:
     """Mini-grammar: harmonic[:m=..,w=..], well:L=.., linear:a=..,
     table:PATH, free."""
     kind, _, rest = text.partition(":")
     try:
         if kind == "harmonic":
-            p = _parse_params(rest, {"m": mass, "w": 1.0})
-            return Potential.harmonic(mass=p["m"], omega=p["w"], hbar=hbar)
+            p = _parse_params(rest, {"m": 1.0, "w": 1.0})
+            return Potential.harmonic(mass=p["m"], omega=p["w"])
         if kind == "well":
-            p = _parse_params(rest, {"L": 1.0, "m": mass})
-            return Potential.infinite_well(length=p["L"], mass=p["m"], hbar=hbar)
+            p = _parse_params(rest, {"L": 1.0, "m": 1.0})
+            return Potential.infinite_well(length=p["L"], mass=p["m"])
         if kind == "linear":
-            p = _parse_params(rest, {"a": 1.0, "m": mass})
-            return Potential.linear(slope=p["a"], mass=p["m"], hbar=hbar)
+            p = _parse_params(rest, {"a": 1.0, "m": 1.0})
+            return Potential.linear(slope=p["a"], mass=p["m"])
         if kind == "free":
-            if rest:
-                p = _parse_params(rest, {"m": mass})
-                return Potential.free(mass=p["m"], hbar=hbar)
-            return Potential.free(mass=mass, hbar=hbar)
+            p = _parse_params(rest, {"m": 1.0})
+            return Potential.free(mass=p["m"])
         if kind == "table":
             if not rest:
                 raise _UsageError("table potential wants table:PATH")
-            return load_potential_table(rest, mass=mass, hbar=hbar)
+            return load_potential_table(rest)
     except (OSError, ValueError, QmkitError) as exc:
         raise _UsageError(f"bad potential spec {text!r}: {exc}") from exc
     raise _UsageError(f"unknown potential kind {kind!r}")
@@ -232,7 +222,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_spectrum(
     config: RunConfig, potential_text: str, range_text: str, count: int
 ) -> int:
-    potential = parse_potential(text=potential_text, hbar=config.hbar, mass=config.mass)
+    potential = parse_potential(potential_text)
     e_range = _parse_range(range_text)
     if count < 1:
         raise _UsageError("--count must be at least 1")
@@ -264,7 +254,7 @@ def cmd_spectrum(
 def cmd_trajectory(
     config: RunConfig, potential_text: str, energy: float, de: float | None
 ) -> int:
-    potential = parse_potential(text=potential_text, hbar=config.hbar, mass=config.mass)
+    potential = parse_potential(potential_text)
     if not math.isfinite(energy) or (de is not None and not math.isfinite(de)):
         raise _UsageError("--energy and --de must be finite")
     # The potential's generic default grid is wrong for trajectory work:
@@ -295,20 +285,26 @@ def cmd_trajectory(
     return _EXIT_OK
 
 
-def _check(name: str, deviation: float, tolerance: float) -> dict:
-    return {"name": name, "max_deviation": deviation, "tolerance": tolerance,
-            "passed": deviation < tolerance}
+def _report(suite: str, checks) -> dict:
+    """Turn ``(name, cases, max_deviation, tolerance)`` entries into a suite
+    report; a check passes when its deviation is within its tolerance."""
+    records = [
+        {"name": name, "cases": int(cases), "max_deviation": float(deviation),
+         "tolerance": float(tolerance), "passed": bool(deviation <= tolerance)}
+        for name, cases, deviation, tolerance in checks
+    ]
+    return {"suite": suite, "checks": records, "passed": all(r["passed"] for r in records)}
 
 
-def _audit_schwarzian(config: RunConfig, rng: np.random.Generator) -> dict:
+def _audit_schwarzian(config: RunConfig, rng: np.random.Generator) -> list:
     tol = config.tolerances
 
     grid = RealGrid(0.0, 1.0, 2001)
     x = grid.points()
     f = np.exp(2j * x)
     analytic = SampledFunction(grid, f, (2j * f, -4.0 * f, -8j * f))
-    dev_analytic = float(np.abs(schwarzian(analytic).values - 2.0).max())
-    dev_fd = float(np.abs(schwarzian(SampledFunction(grid, f)).values - 2.0).max())
+    dev_analytic = np.abs(schwarzian(analytic).values - 2.0).max()
+    dev_fd = np.abs(schwarzian(SampledFunction(grid, f)).values - 2.0).max()
 
     base_grid = RealGrid(-1.0, 1.0, 2001)
     xb = base_grid.points()
@@ -339,115 +335,82 @@ def _audit_schwarzian(config: RunConfig, rng: np.random.Generator) -> dict:
             (3.0 * c3 * xb**2 + c1, 6.0 * c3 * xb, np.full_like(xb, 6.0 * c3)),
         )
 
-    worst_cocycle = 0.0
-    for _ in range(10):
-        qa = random_monotone_cubic()
-        qc = random_monotone_cubic()
-        worst_cocycle = max(
-            worst_cocycle,
-            cocycle_deviation(qa, base_grid, qc, xi=config.hbar, mass=config.mass),
-        )
+    worst_cocycle = max(
+        cocycle_deviation(random_monotone_cubic(), base_grid, random_monotone_cubic(),
+                          xi=1.0, mass=1.0)
+        for _ in range(10)
+    )
 
-    checks = [
-        _check("unit_phase_curvature_analytic", dev_analytic, tol["curvature_analytic"]),
-        _check("unit_phase_curvature_fd", dev_fd, tol["curvature_fd"]),
-        _check("moebius_invariance_20_maps", worst, tol["moebius_invariance"]),
-        _check("cocycle_10_pairs", worst_cocycle, tol["cocycle"]),
+    return [
+        ("unit_phase_curvature_analytic", 1, dev_analytic, tol["curvature_analytic"]),
+        ("unit_phase_curvature_fd", 1, dev_fd, tol["curvature_fd"]),
+        ("moebius_invariance", 20, worst, tol["moebius_invariance"]),
+        ("cocycle", 10, worst_cocycle, tol["cocycle"]),
     ]
-    return {"suite": "schwarzian", "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def _audit_tomography(config: RunConfig, rng: np.random.Generator) -> dict:
+def _audit_tomography(config: RunConfig, rng: np.random.Generator) -> list:
     tol = config.tolerances
-    report: dict = {"suite": "tomography"}
-    ok = True
+    mubs = {n: mub_set(n) for n in (2, 3, 5)}
 
-    overlap_errors = {}
-    for n in (2, 3, 5):
-        mubs = mub_set(n)
-        worst = 0.0
-        for i in range(len(mubs.bases)):
-            for j in range(i + 1, len(mubs.bases)):
-                cross = np.abs(mubs.bases[i].vectors.conj() @ mubs.bases[j].vectors.T) ** 2
-                worst = max(worst, float(np.abs(cross - 1.0 / n).max()))
-        overlap_errors[str(n)] = worst
-        ok = ok and worst < tol["mub_overlap"]
-    report["mub_overlap_errors"] = overlap_errors
-
-    def roundtrip_error(dim: int, mubs) -> float:
+    def roundtrip_error(dim: int) -> float:
         state = random_density(dim, rng)
-        table = table_from_density(state, mubs)
-        back = density_from_table(table, mubs)
+        table = table_from_density(state, mubs[dim])
+        back = density_from_table(table, mubs[dim])
         return float(np.linalg.norm(back.matrix - state.matrix))
 
-    mubs2 = mub_set(2)
-    mubs3 = mub_set(3)
-    qubit_errors = [roundtrip_error(2, mubs2) for _ in range(100)]
-    qutrit_errors = [roundtrip_error(3, mubs3) for _ in range(50)]
-    report["roundtrip_errors"] = qubit_errors
-    report["roundtrip_errors_qutrit"] = qutrit_errors
-    ok = ok and max(qubit_errors + qutrit_errors) < tol["tomography_roundtrip"]
+    qubit = max(roundtrip_error(2) for _ in range(100))
+    qutrit = max(roundtrip_error(3) for _ in range(50))
 
+    # Certain outcomes on all three qubit bases reconstruct a matrix with
+    # eigenvalues (1 +- sqrt(3)) / 2, which must be rejected as unphysical.
+    overfilled = ProbabilityTable(np.array([[1.0, 0.0]] * 3))
     try:
-        density_from_table(
-            ProbabilityTable(np.array([[1.0, 0.0]] * 3)), mubs2
-        )
-        report["overfilled_table_rejected"] = False
-        ok = False
+        lowest = density_from_table(overfilled, mubs[2]).eigenvalues.min()
     except NegativeEigenvalue as exc:
-        report["overfilled_table_rejected"] = True
-        report["overfilled_table_min_eigenvalue"] = exc.min_eigenvalue
+        lowest = exc.min_eigenvalue
 
-    sigma_z = mubs2.bases[0]
-    sigma_x = mubs2.bases[1]
-    worst_signal = 0.0
-    for _ in range(50):
-        joint = random_density(4, rng)
-        worst_signal = max(
-            worst_signal, no_signalling_check(joint, (sigma_z, sigma_x), mubs2)
-        )
-    report["no_signalling_max"] = worst_signal
-    ok = ok and worst_signal < tol["no_signalling"]
+    # Second-factor choices: the sigma_z and sigma_x bases.
+    worst_signal = max(
+        no_signalling_check(random_density(4, rng), mubs[2].bases[:2], mubs[2])
+        for _ in range(50)
+    )
 
-    report["passed"] = ok
-    return report
-
-
-def _audit_counting(config: RunConfig, rng: np.random.Generator) -> dict:
-    report: dict = {"suite": "counting"}
-    ok = True
-
-    pair = report["real_qubit_pair"] = asdict(real_space_violation(2, 2))
-    ok = ok and pair == {"K_joint": 10, "K_product": 9, "violates": True}
-
-    mixed = report["real_mixed_pair"] = asdict(real_space_violation(2, 3))
-    ok = ok and mixed == {"K_joint": 21, "K_product": 18, "violates": True}
-
-    structure_ok = True
-    for r in (1, 2):
-        for n in range(1, 13):
-            counts = hardy_counts(n, r)
-            structure_ok = structure_ok and counts.monotone_ok and counts.composite_ok
-            structure_ok = structure_ok and counts.count == n**r
-    report["power_law_checks_ok"] = structure_ok
-    ok = ok and structure_ok
-
-    deviations = []
-    for r in (1, 2):
-        for n1 in (2, 3, 5):
-            for n2 in (2, 3, 5):
-                deviations.append(wootters_g_identity(n1, n2, r))
-    report["g_identity_max_deviation"] = max(deviations)
-    ok = ok and max(deviations) == 0
-
-    report["passed"] = ok
-    return report
+    return [
+        ("mub_overlap", len(mubs), max(m.overlap_deviation() for m in mubs.values()),
+         tol["mub_overlap"]),
+        ("qubit_roundtrip", 100, qubit, tol["tomography_roundtrip"]),
+        ("qutrit_roundtrip", 50, qutrit, tol["tomography_roundtrip"]),
+        ("overfilled_table_min_eigenvalue", 1, abs(lowest - (0.5 - math.sqrt(3.0) / 2.0)),
+         1e-12),
+        ("no_signalling", 50, worst_signal, tol["no_signalling"]),
+    ]
 
 
-def _audit_amplitudes(config: RunConfig, rng: np.random.Generator) -> dict:
+def _audit_counting(config: RunConfig, rng: np.random.Generator) -> list:
+    """Exact checks with tolerance 0: each deviation counts broken
+    identities, except the g identity's, which is its largest integer defect."""
+    checks = []
+    for (n1, n2), joint, product in (((2, 2), 10, 9), ((2, 3), 21, 18)):
+        v = real_space_violation(n1, n2)
+        broken = (v.K_joint != joint) + (v.K_product != product) + (not v.violates)
+        name = f"real_pair_{n1}x{n2}_K_joint_{joint}_K_product_{product}"
+        checks.append((name, 1, broken, 0))
+
+    powers = [(n**r, hardy_counts(n, r)) for r in (1, 2) for n in range(1, 13)]
+    broken = sum(
+        (not c.monotone_ok) + (not c.composite_ok) + (c.count != power) for power, c in powers
+    )
+    checks.append(("power_law_structure", len(powers), broken, 0))
+
+    sizes = (2, 3, 5)
+    g = [wootters_g_identity(n1, n2, r) for r in (1, 2) for n1 in sizes for n2 in sizes]
+    checks.append(("g_identity", len(g), max(g), 0))
+    return checks
+
+
+def _audit_amplitudes(config: RunConfig, rng: np.random.Generator) -> list:
     tol = config.tolerances
-    report: dict = {"suite": "amplitudes"}
-    ok = True
 
     worst_tree = 0.0
     worst_shuffle = 0.0
@@ -456,10 +419,6 @@ def _audit_amplitudes(config: RunConfig, rng: np.random.Generator) -> dict:
         worst_tree = max(worst_tree, abs(compose_amplitudes(network) - expected))
         permuted = shuffled_network(network, rng)
         worst_shuffle = max(worst_shuffle, abs(compose_amplitudes(permuted) - expected))
-    report["tree_value_max_deviation"] = worst_tree
-    report["order_invariance_max_deviation"] = worst_shuffle
-    ok = ok and worst_tree <= tol["amplitude_algebra"]
-    ok = ok and worst_shuffle <= tol["amplitude_algebra"]
 
     worst_distributive = 0.0
     for _ in range(50):
@@ -468,16 +427,16 @@ def _audit_amplitudes(config: RunConfig, rng: np.random.Generator) -> dict:
             series_network(parallel_network(single_edge(a), single_edge(b)), single_edge(c))
         )
         worst_distributive = max(worst_distributive, abs(lhs - (a * c + b * c)))
-    report["distributivity_max_deviation"] = worst_distributive
-    ok = ok and worst_distributive <= 1e-12
 
     amps = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
     total = sum(a * reverse_amplitude(a) for a in amps)
-    report["reverse_completeness_deviation"] = abs(total - 1.0)
-    ok = ok and abs(total - 1.0) < 1e-15
 
-    report["passed"] = ok
-    return report
+    return [
+        ("tree_value", 100, worst_tree, tol["amplitude_algebra"]),
+        ("order_invariance", 100, worst_shuffle, tol["amplitude_algebra"]),
+        ("distributivity", 50, worst_distributive, 1e-12),
+        ("reverse_completeness", 1, abs(total - 1.0), 1e-15),
+    ]
 
 
 _AUDIT_RUNNERS = {
@@ -488,25 +447,15 @@ _AUDIT_RUNNERS = {
 }
 
 
-def _plain(value):
-    """Recursively strip numpy scalar types so json.dumps accepts the report."""
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def cmd_audit(config: RunConfig, suite: str) -> int:
     rng = np.random.default_rng(config.seed)
     if suite == "all":
-        suites = {name: _AUDIT_RUNNERS[name](config, rng) for name in _AUDIT_SUITES}
+        # The suites draw from one generator in this order.
+        suites = {name: _report(name, _AUDIT_RUNNERS[name](config, rng))
+                  for name in _AUDIT_SUITES}
         report = {"suites": suites, "passed": all(s["passed"] for s in suites.values())}
     else:
-        report = _AUDIT_RUNNERS[suite](config, rng)
-    report = _plain(report)
+        report = _report(suite, _AUDIT_RUNNERS[suite](config, rng))
     _emit(json.dumps(report, indent=2), config.output_path)
     status = "PASS" if report["passed"] else "FAIL"
     print(f"audit {suite}: {status}", file=sys.stderr)

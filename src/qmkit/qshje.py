@@ -207,15 +207,16 @@ def floyd_trajectory(
 
     Builds solution pairs at E - dE, E, E + dE with matched anchoring and
     Wronskian convention, takes t(q) = dS0/dE by central differences
-    (default step 1e-6 * max(|E|, 1)), shifts t to start at zero and pairs
-    it with the exact momentum at E.  The outer 5% of points per side is
-    excluded; non-monotone time on the remaining window raises
-    NonMonotoneTime rather than being silently repaired.  The returned
+    (default step 1e-4 * max(|E|, 1); much smaller steps lose more to
+    roundoff in S0 than they gain in truncation error), shifts t to start
+    at zero and pairs it with the exact momentum at E.  The outer 5% of
+    points per side is excluded; non-monotone time on the remaining window
+    raises NonMonotoneTime rather than being silently repaired.  The returned
     trajectory's ``action`` is the reduced action at E over the whole grid,
     so callers need not rebuild the pair at E for residuals or exports.
     """
     if dE is None:
-        dE = 1e-6 * max(abs(energy), 1.0)
+        dE = 1e-4 * max(abs(energy), 1.0)
     if dE <= 0.0:
         raise ValueError("dE must be positive")
     hbar, mass = potential.hbar, potential.mass
@@ -237,18 +238,21 @@ def floyd_trajectory(
 # semiclassical scan
 
 
-def _scan_grid(potential: Potential, energy: float, hbar: float, mass: float,
-               *, budget: float = 3.0,
-               min_points: int = 4001) -> tuple[RealGrid, float, float]:
-    """Domain and resolution adapted to one energy and hbar value.
+#: WKB action held by each forbidden tail of a scan grid.
+_TAIL_ACTION = 3.0
+
+
+def _scan_grid(potential: Potential, energy: float,
+               *, min_points: int = 4001) -> tuple[RealGrid, float, float]:
+    """Domain and resolution adapted to one energy and the potential's hbar.
 
     The domain covers the classically allowed interval plus forbidden tails
-    holding `budget` units of WKB action; the spacing resolves the local
+    holding `_TAIL_ACTION` units of WKB action; the spacing resolves the local
     oscillation length.  Returns the grid and the turning points
     (allowed-interval ends).  The pair is marched outward from the anchor,
     so tail depth never sharpens interior values -- it only amplifies the
-    growing solution by e^(2*budget) and with it the roundoff in both
-    solutions, which is why the default keeps the tails shallow.
+    growing solution by e^(2*_TAIL_ACTION) and with it the roundoff in both
+    solutions, which is why the tails are kept shallow.
     """
     if potential.hard_wall:
         grid = RealGrid(0.0, potential.length, min_points)
@@ -280,6 +284,7 @@ def _scan_grid(potential: Potential, energy: float, hbar: float, mass: float,
         raise ValueError("energy lies below the potential minimum")
     q_lo_t, q_hi_t = probe[allowed[0]], probe[allowed[-1]]
 
+    hbar, mass = potential.hbar, potential.mass
     kappa = np.sqrt(2.0 * mass * np.clip(w, 0.0, None)) / hbar
     dq = probe[1] - probe[0]
 
@@ -289,7 +294,7 @@ def _scan_grid(potential: Potential, energy: float, hbar: float, mass: float,
         while 0 < i < len(probe) - 1:
             total += 0.5 * (kappa[i] + kappa[i + step]) * dq
             i += step
-            if total >= budget:
+            if total >= _TAIL_ACTION:
                 break
         return probe[i]
 
@@ -313,10 +318,7 @@ def suggest_trajectory_grid(potential: Potential, energy: float) -> RealGrid:
     resolution, which poisons the strict monotonicity of the time column,
     and the growing solution branch loses the decaying one to roundoff.
     """
-    grid, _, _ = _scan_grid(
-        potential, energy, potential.hbar, potential.mass,
-        budget=3.0, min_points=40001,
-    )
+    grid, _, _ = _scan_grid(potential, energy, min_points=40001)
     return grid
 
 
@@ -337,7 +339,7 @@ def classical_limit_scan(
     rows = []
     for hb in hbar_sequence:
         scaled = replace(potential, hbar=float(hb))
-        grid, q_lo_t, q_hi_t = _scan_grid(scaled, energy, float(hb), scaled.mass)
+        grid, q_lo_t, q_hi_t = _scan_grid(scaled, energy)
         pair = solution_pair(scaled, energy, grid, anchor=anchor)
         action = reduced_action_from_pair(pair, hbar=float(hb), mass=scaled.mass)
         q_pot = quantum_potential(action)

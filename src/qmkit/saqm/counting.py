@@ -35,10 +35,7 @@ class HardyCounts:
 
 @dataclass(frozen=True)
 class RealSpaceComparison:
-    """Joint versus product parameter counts for real state spaces.
-
-    Field names match the audit report schema.
-    """
+    """Joint versus product parameter counts for real state spaces."""
 
     K_joint: int
     K_product: int

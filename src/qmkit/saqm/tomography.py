@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,10 +104,12 @@ class MubSet:
 
     Unbiased means every cross-basis overlap has squared modulus
     ``1/dim``; together with orthonormality this is what makes the
-    projector sum reconstruction exact.
+    projector sum reconstruction exact.  ``vectors[b, i]`` is the i-th
+    vector of basis b.
     """
 
     bases: tuple[MeasurementBasis, ...]
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bases = tuple(self.bases)
@@ -123,16 +125,23 @@ class MubSet:
                 f"a complete set in dimension {dim} has {dim + 1} bases, "
                 f"got {len(bases)}"
             )
-        target = 1.0 / dim
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                overlap = np.abs(bases[i].vectors.conj() @ bases[j].vectors.T) ** 2
-                if np.abs(overlap - target).max() > _UNBIASED_TOL:
-                    raise ValueError(f"bases {i} and {j} are not unbiased")
+        vectors = np.stack([basis.vectors for basis in bases])
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
+        deviation = self.overlap_deviation()
+        if deviation > _UNBIASED_TOL:
+            raise ValueError(f"bases are not unbiased: overlap deviation {deviation:.3g}")
 
     @property
     def dim(self) -> int:
         return self.bases[0].dim
+
+    def overlap_deviation(self) -> float:
+        """Largest | |<a|b>|^2 - 1/dim | over vectors a, b of distinct bases."""
+        first, second = np.triu_indices(len(self.bases), 1)
+        v = self.vectors
+        cross = np.abs(v[first].conj() @ v[second].transpose(0, 2, 1)) ** 2
+        return float(np.abs(cross - 1.0 / self.dim).max())
 
 
 @dataclass(frozen=True)
@@ -207,8 +216,7 @@ def table_from_density(state: DensityMatrix, mubs: MubSet) -> ProbabilityTable:
         raise DimensionMismatch(
             f"state dimension {state.dim} does not match basis dimension {mubs.dim}"
         )
-    vectors = np.stack([basis.vectors for basis in mubs.bases])
-    rows = np.einsum("bij,jk,bik->bi", vectors.conj(), state.matrix, vectors).real
+    rows = np.einsum("bij,jk,bik->bi", mubs.vectors.conj(), state.matrix, mubs.vectors).real
     return ProbabilityTable(np.clip(rows, 0.0, 1.0))
 
 
@@ -222,8 +230,7 @@ def density_from_table(table: ProbabilityTable, mubs: MubSet) -> DensityMatrix:
         raise DimensionMismatch(
             f"table dimension {table.dim} does not match basis dimension {mubs.dim}"
         )
-    vectors = np.stack([basis.vectors for basis in mubs.bases])
-    accum = np.einsum("bi,bij,bik->jk", table.rows, vectors, vectors.conj())
+    accum = np.einsum("bi,bij,bik->jk", table.rows, mubs.vectors, mubs.vectors.conj())
     return DensityMatrix(accum - np.eye(table.dim))
 
 
@@ -298,14 +305,13 @@ def no_signalling_check(
             f"factor dimensions ({d_a}, {d_b}) do not compose to {rho_joint.dim}"
         )
 
-    vectors_a = np.stack([basis.vectors for basis in mub_a.bases])
     rho = rho_joint.matrix.reshape(d_a, d_b, d_a, d_b)
 
     def conditioned_table(basis_b: MeasurementBasis) -> np.ndarray:
         # Sum over the second factor's outcomes j of <a_ri b_j| rho |a_ri b_j>.
         b = basis_b.vectors
         return np.einsum("rix,jy,xyuv,riu,jv->ri",
-                         vectors_a.conj(), b.conj(), rho, vectors_a, b).real
+                         mub_a.vectors.conj(), b.conj(), rho, mub_a.vectors, b).real
 
     first = conditioned_table(basis_b_first)
     second = conditioned_table(basis_b_second)

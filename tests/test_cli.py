@@ -24,6 +24,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def checks_by_name(report: dict) -> dict:
+    return {check["name"]: check for check in report["checks"]}
+
+
 def parse_csv(text: str):
     lines = [line for line in text.splitlines() if line]
     header = lines[0].split(",")
@@ -182,6 +186,29 @@ class TestOutputTarget:
         assert target.read_bytes() == stdout.encode("utf-8")
 
 
+class TestFlagScope:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--potential", "harmonic", "--range", "0:2", "--seed", "3"),
+            ("spectrum", "--potential", "harmonic", "--range", "0:2",
+             "--tol-override", "cocycle=1"),
+            ("trajectory", "--potential", "free", "--energy", "0.5", "--seed", "3"),
+            ("trajectory", "--potential", "free", "--energy", "0.5",
+             "--tol-override", "cocycle=1"),
+            ("audit", "counting", "--grid", "0:1:11"),
+            ("audit", "counting", "--format", "csv"),
+        ],
+        ids=["spectrum-seed", "spectrum-tol", "trajectory-seed", "trajectory-tol",
+             "audit-grid", "audit-format"],
+    )
+    def test_flags_the_subcommand_does_not_read_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
 class TestTrajectory:
     def test_one_run_marches_three_solution_pairs(self, capsys, monkeypatch):
         # Pairs at E - dE, E and E + dE, four marches each; the residual
@@ -280,25 +307,22 @@ class TestAudit:
     def test_counting_report_contains_the_qubit_pair_overshoot(self, capsys):
         code, out, _ = run(capsys, "audit", "counting")
         assert code == 0
-        report = json.loads(out)
-        assert report["real_qubit_pair"] == {
-            "K_joint": 10,
-            "K_product": 9,
-            "violates": True,
-        }
+        pair = checks_by_name(json.loads(out))["real_pair_2x2_K_joint_10_K_product_9"]
+        assert pair == {"name": "real_pair_2x2_K_joint_10_K_product_9", "cases": 1,
+                        "max_deviation": 0.0, "tolerance": 0.0, "passed": True}
 
     def test_tomography_report_has_one_hundred_tight_round_trips(self, capsys):
         code, out, _ = run(capsys, "audit", "tomography")
         assert code == 0
-        report = json.loads(out)
-        assert len(report["roundtrip_errors"]) == 100
-        assert max(report["roundtrip_errors"]) < 1e-10
-        assert len(report["roundtrip_errors_qutrit"]) == 50
-        assert report["overfilled_table_rejected"] is True
-        expected = 0.5 - math.sqrt(3.0) / 2.0
-        assert report["overfilled_table_min_eigenvalue"] == pytest.approx(
-            expected, abs=1e-12
-        )
+        checks = checks_by_name(json.loads(out))
+        assert checks["qubit_roundtrip"]["cases"] == 100
+        assert checks["qubit_roundtrip"]["max_deviation"] < 1e-10
+        assert checks["qutrit_roundtrip"]["cases"] == 50
+        assert checks["qutrit_roundtrip"]["max_deviation"] < 1e-10
+        # |lowest eigenvalue - (1/2 - sqrt(3)/2)| of the rejected overfilled table
+        overfilled = checks["overfilled_table_min_eigenvalue"]
+        assert overfilled["max_deviation"] <= 1e-12
+        assert overfilled["passed"] is True
 
     def test_reports_are_deterministic_for_a_fixed_seed(self, capsys):
         first = run(capsys, "audit", "tomography", "--seed", "7")
@@ -308,8 +332,9 @@ class TestAudit:
     def test_different_seeds_draw_different_samples(self, capsys):
         _, out7, _ = run(capsys, "audit", "tomography", "--seed", "7")
         _, out8, _ = run(capsys, "audit", "tomography", "--seed", "8")
-        errors7 = json.loads(out7)["roundtrip_errors"]
-        errors8 = json.loads(out8)["roundtrip_errors"]
+        sampled = ("qubit_roundtrip", "qutrit_roundtrip", "no_signalling")
+        errors7 = [checks_by_name(json.loads(out7))[name]["max_deviation"] for name in sampled]
+        errors8 = [checks_by_name(json.loads(out8))[name]["max_deviation"] for name in sampled]
         assert errors7 != errors8
 
     def test_impossible_tolerance_fails_the_audit(self, capsys):
@@ -319,6 +344,46 @@ class TestAudit:
         assert code == 3
         assert json.loads(out)["passed"] is False
         assert "FAIL" in err
+
+    @pytest.mark.parametrize("override", [(), ("--tol-override", "no_signalling=1e-300")],
+                             ids=["defaults", "one-check-failing"])
+    def test_every_suite_report_is_a_list_of_check_records(self, capsys, override):
+        def strict(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code, out, _ = run(capsys, "audit", "all", "--seed", "3", *override)
+        report = json.loads(out, parse_constant=strict)
+        assert code == (0 if report["passed"] else 3)
+        assert report["passed"] is (not override)
+        for suite, body in report["suites"].items():
+            assert set(body) == {"suite", "checks", "passed"}
+            assert body["suite"] == suite
+            assert body["checks"]
+            for check in body["checks"]:
+                assert set(check) == {"name", "cases", "max_deviation", "tolerance", "passed"}
+                assert isinstance(check["cases"], int) and check["cases"] >= 1
+                assert check["passed"] is (check["max_deviation"] <= check["tolerance"])
+            assert body["passed"] is all(check["passed"] for check in body["checks"])
+        assert report["passed"] is all(body["passed"] for body in report["suites"].values())
+
+    @pytest.mark.parametrize(
+        "name",
+        ["curvature_analytic", "curvature_fd", "moebius_invariance", "cocycle",
+         "mub_overlap", "tomography_roundtrip", "no_signalling", "amplitude_algebra"],
+    )
+    def test_each_tolerance_override_reaches_its_checks(self, capsys, name):
+        code, out, _ = run(capsys, "audit", "all", "--tol-override", f"{name}=1e-300")
+        report = json.loads(out)
+        overridden = [check for body in report["suites"].values()
+                      for check in body["checks"] if check["tolerance"] == 1e-300]
+        assert overridden
+        if name == "amplitude_algebra":
+            # Dyadic amplitudes compose exactly, so no tolerance is too tight.
+            assert code == 0
+            assert all(check["max_deviation"] == 0.0 for check in overridden)
+        else:
+            assert code == 3
+            assert not all(check["passed"] for check in overridden)
 
     def test_unknown_tolerance_name_is_an_input_error(self, capsys):
         code, _, err = run(

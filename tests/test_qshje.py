@@ -212,6 +212,18 @@ class TestTrajectory:
         trajectory = floyd_trajectory(pot, 0.5, FREE_GRID)
         assert np.abs(trajectory.p - 1.0).max() < 1e-8
 
+    @pytest.mark.parametrize("energy", [0.5, 1.5])
+    def test_default_energy_step_is_within_truncation_accuracy(self, energy):
+        # Richardson extrapolation of the O(dE^2) central difference from
+        # dE = 1e-2 and 1e-3 gives a reference that roundoff barely touches.
+        pot = Potential.harmonic()
+        grid = suggest_trajectory_grid(pot, energy)
+        coarse = floyd_trajectory(pot, energy, grid, dE=1e-2).t
+        fine = floyd_trajectory(pot, energy, grid, dE=1e-3).t
+        reference = fine + (fine - coarse) / 99.0
+        default = floyd_trajectory(pot, energy, grid).t
+        assert np.abs(default - reference).max() < 2e-5
+
     def test_nonpositive_energy_step_is_rejected(self):
         pot = Potential.free()
         with pytest.raises(ValueError, match="positive"):
