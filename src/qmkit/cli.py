@@ -16,7 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NegativeEigenvalue, NodeCountMismatch, NoEigenvalueInRange, QmkitError
+from .errors import (GridTooSmall, NegativeEigenvalue, NodeCountMismatch, NoEigenvalueInRange,
+                     QmkitError)
 from .grids import RealGrid, SampledFunction
 from .qshje import floyd_trajectory, qshje_residual, suggest_trajectory_grid, write_trajectory_csv
 from .schrodinger1d import Potential, find_eigenvalues, load_potential_table
@@ -231,7 +232,7 @@ def cmd_spectrum(
     except NoEigenvalueInRange as exc:
         print(f"no levels: {exc}", file=sys.stderr)
         return _EXIT_EMPTY
-    except NodeCountMismatch as exc:
+    except (GridTooSmall, NodeCountMismatch) as exc:
         print(f"error: {exc}; try a finer --grid qmin:qmax:n", file=sys.stderr)
         return _EXIT_USAGE
     if config.output_format == "json":

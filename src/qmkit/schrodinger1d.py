@@ -6,7 +6,9 @@ marched in ratio form y_{i+1}/y_i: no march overflows, and every node is
 one negative ratio.  Bound states of confining potentials are located by
 shooting: one sweep of decaying solutions inward from both edges to the
 rightmost turning point yields the number of levels below the trial energy
-(a Sturm count) and a pole-free match; levels are isolated by bisecting on
+(a Sturm count) and a pole-free match.  Each level is guessed from the
+classical action quantization (1/pi hbar) int p dq = n + 1/2, the guess is
+verified by the Sturm count, and the level is then isolated by bisecting on
 the count and polished by Brent's method on the match.  The module also
 builds the canonical solution pairs that the reduced-action reconstruction
 consumes.
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DegeneratePair, LevelsUnresolved, NodeCountMismatch,
+from .errors import (DegeneratePair, GridTooSmall, LevelsUnresolved, NodeCountMismatch,
                      NoEigenvalueInRange, Overflow)
 from .grids import RealGrid
 
@@ -45,8 +47,14 @@ _MAX_MAGNITUDE = 1e140
 #: Eigenvalue polishing stops below this width relative to max(1, |E|).
 _LEVEL_RTOL = 1e-12
 
-#: Iteration cap of each level's count bisection and of its polish.
+#: Iteration cap of each level's guess, count bisection and polish.
 _LEVEL_MAX_ITER = 200
+
+#: The level guess stops within this many quanta of its action target.
+_GUESS_TOL = 1e-6
+
+#: Offset of the second shot from the guess, in mean level spacings.
+_GUESS_STEP = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +399,34 @@ def _shoot(potential: Potential, energy: float, grid: RealGrid,
     return count, w, im
 
 
+def _action_guess(potential: Potential, v: np.ndarray, grid: RealGrid, quanta: float,
+                  lo: float, hi: float) -> float | None:
+    """Energy in (lo, hi) where the classical action (1/pi hbar) int p dq over
+    the sampled potential ``v`` equals ``quanta`` (Bohr-Sommerfeld), found by
+    Illinois regula falsi; None when the action does not reach ``quanta``
+    inside the bracket."""
+    def excess(energy):
+        p = np.sqrt(np.maximum(2.0 * potential.mass * (energy - v), 0.0))
+        return float(np.trapezoid(p, dx=grid.spacing)) / (math.pi * potential.hbar) - quanta
+
+    f_lo, f_hi = excess(lo), excess(hi)
+    if not f_lo < 0.0 < f_hi:
+        return None
+    side = 0
+    for _ in range(_LEVEL_MAX_ITER):
+        guess = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        f = excess(guess)
+        if abs(f) <= _GUESS_TOL:
+            break
+        if f < 0.0:  # halve the stale end's value when the same end moves twice
+            lo, f_lo, f_hi = guess, f, (0.5 * f_hi if side < 0 else f_hi)
+            side = -1
+        else:
+            hi, f_hi, f_lo = guess, f, (0.5 * f_lo if side > 0 else f_lo)
+            side = 1
+    return guess
+
+
 def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     """Root of f in the sign-changing bracket [a, b] to about ``xtol``, by
     Brent's method (Brent 1973, ch. 4): interpolation or bisection steps."""
@@ -473,8 +509,14 @@ def find_eigenvalues(
     """Bound states of a confining (or hard-wall) potential in an energy window.
 
     Each trial energy costs one sweep giving the count of levels below it
-    and a pole-free match.  Bisection on the count, over one table shared
-    by the window, isolates level k; Brent's method on the match polishes
+    and a pole-free match, kept in one table shared by the window.  Level k
+    is first guessed from the action quantization (1/pi hbar) int p dq =
+    k + 1/2 (k + 1 between hard walls) over the sampled potential, solved
+    inside its count bracket.  The guess is shot, and so is a point 1e-4
+    mean level spacings beyond it on the side its count points to: when the
+    counts verify the guess the bracket is already tight, and a miss still
+    narrows it, so the counts alone decide every level.  Bisection on the
+    count then isolates level k, and Brent's method on the match polishes
     it to a width of 1e-12 max(1, |E|), or to the energy resolution of the
     Numerov coefficients where that is wider.  Levels closer than float
     spacing or than that energy resolution raise LevelsUnresolved (a
@@ -482,6 +524,9 @@ def find_eigenvalues(
     raises NodeCountMismatch (the grid under-resolves it).  For soft
     potentials only energies classically forbidden at both grid edges are
     searchable; a window with no such level raises NoEigenvalueInRange.
+    The window's floor is raised to the potential's minimum on the grid,
+    below which no level lies; a grid whose spacing there is at least
+    sqrt(12) decay lengths (a Numerov coefficient <= 0) raises GridTooSmall.
     """
     if grid is None:
         grid = potential.default_grid()
@@ -493,12 +538,21 @@ def find_eigenvalues(
     if max_count < 1:
         raise ValueError("max_count must be at least 1")
 
+    v = potential.evaluate(grid.points())
+    e_lo = max(e_lo, float(v.min()))  # no level lies below the potential's minimum
     search_hi = e_hi
     if not potential.hard_wall:
-        ceiling = float(potential.evaluate(np.array([grid.q_min, grid.q_max])).min())
+        ceiling = float(min(v[0], v[-1]))
         search_hi = min(e_hi, ceiling - 1e-9 * max(1.0, abs(ceiling)))
-        if search_hi <= e_lo:
-            raise NoEigenvalueInRange("no energy in the window is confined on this grid")
+    if search_hi <= e_lo:
+        raise NoEigenvalueInRange("no energy in the window lies above the potential's "
+                                  "minimum and is confined on this grid")
+    h = grid.spacing
+    kappa = math.sqrt(2.0 * potential.mass * max(float(v.max()) - e_lo, 0.0)) / potential.hbar
+    if 1.0 - (h * kappa) ** 2 / 12.0 <= 0.0:  # the smallest Numerov coefficient at the floor
+        raise GridTooSmall(f"grid spacing h = {h:.3g} is at least sqrt(12) times the shortest "
+                           f"decay length {1.0 / kappa:.3g} at E = {e_lo!r}; the grid "
+                           "cannot represent a decaying tail")
 
     # Energies closer than this leave every Numerov coefficient within two ulps.
     resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
@@ -509,12 +563,27 @@ def find_eigenvalues(
     if k_hi <= k_lo:
         raise NoEigenvalueInRange("no level inside the energy window")
 
+    def bracket(k):
+        return (max(e for e, shot in shots.items() if shot[0] <= k),
+                min(e for e, shot in shots.items() if shot[0] > k))
+
     energies, functions = [], []
     levels = range(k_lo, min(k_hi, k_lo + max_count))
+    maslov = 1.0 if potential.hard_wall else 0.5  # level 0's action, in units of 2 pi hbar
     for k in levels:
+        # Shoot at the action-quantization guess and, on the side its count
+        # points to, a small step away: a hit leaves a verified tight bracket,
+        # a miss still narrows it.  The counts alone decide the level.
+        lo, hi = bracket(k)
+        guess = _action_guess(potential, v, grid, k + maslov, lo, hi)
+        if guess is not None and lo < guess < hi:
+            shots[guess] = _shoot(potential, guess, grid)
+            step = _GUESS_STEP * (hi - lo) / (shots[hi][0] - shots[lo][0])
+            side = {k: guess + step, k + 1: guess - step}.get(shots[guess][0])
+            if side is not None and lo < side < hi:
+                shots[side] = _shoot(potential, side, grid)
         for _ in range(_LEVEL_MAX_ITER):
-            lo = max(e for e, shot in shots.items() if shot[0] <= k)
-            hi = min(e for e, shot in shots.items() if shot[0] > k)
+            lo, hi = bracket(k)
             if shots[lo][0] == k and shots[hi][0] == k + 1:
                 break
             mid = 0.5 * (lo + hi)

@@ -119,6 +119,14 @@ class TestSpectrum:
         assert out == ""
         assert "--grid" in err
 
+    def test_window_floor_far_below_the_potential_is_solved(self, capsys):
+        code, out, _ = run(
+            capsys, "spectrum", "--potential", "harmonic", "--range=-1e6:5", "--count", "5"
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [int(row[2]) for row in rows] == [0, 1, 2, 3, 4]
+
     def test_tiny_well_over_a_huge_window_exits_promptly(self):
         src = str(Path(qmkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

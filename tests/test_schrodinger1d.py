@@ -22,7 +22,6 @@ from qmkit import (
     DegeneratePair,
     GridTooSmall,
     LevelsUnresolved,
-    NodeCountMismatch,
     NoEigenvalueInRange,
     Overflow,
     Potential,
@@ -320,8 +319,16 @@ def test_tiny_well_over_a_huge_window_returns():
 
 def test_under_resolved_levels_raise_instead_of_returning_rows():
     # h = 0.005 leaves about six points across the omega = 1000 ground state.
-    with pytest.raises(NodeCountMismatch, match="under-resolves"):
+    with pytest.raises(GridTooSmall, match="h = 0.005 .* decay length 0.0001"):
         find_eigenvalues(Potential.harmonic(omega=1000.0), (0.0, 5000.0), 3)
+
+
+def test_window_floor_below_the_potential_minimum_is_raised_to_it():
+    # At E = -1e6 every Numerov coefficient is negative; no level lies
+    # below min V = 0, so the search starts there.
+    result = find_eigenvalues(Potential.harmonic(), (-1e6, 5.0), 5)
+    assert result.node_counts == (0, 1, 2, 3, 4)
+    assert np.abs(result.energies - (np.arange(5) + 0.5)).max() <= 1e-5
 
 
 def test_levels_closer_than_float_spacing_raise():
@@ -389,10 +396,10 @@ def harmonic_to_forty():
     return _solve_counting_sweeps(Potential.harmonic(), (0.0, 40.0))
 
 
-def test_harmonic_window_costs_at_most_13_sweeps_per_level(harmonic_to_forty):
+def test_harmonic_window_costs_at_most_6_sweeps_per_level(harmonic_to_forty):
     result, per_level = harmonic_to_forty
     assert len(result.energies) == 40
-    assert per_level <= 13.0
+    assert per_level <= 6.0
 
 
 def test_harmonic_levels_to_forty_reach_method_accuracy(harmonic_to_forty):
@@ -401,10 +408,32 @@ def test_harmonic_levels_to_forty_reach_method_accuracy(harmonic_to_forty):
     assert np.abs(result.energies - expected).max() <= 1e-5
 
 
-def test_well_window_costs_at_most_20_sweeps_per_level():
+def test_well_window_costs_at_most_5_sweeps_per_level():
     result, per_level = _solve_counting_sweeps(Potential.infinite_well(1.0), (0.0, 2000.0))
     assert len(result.energies) == 20
-    assert per_level <= 20.0
+    assert per_level <= 5.0
+
+
+def _far_guess(potential, v, grid, quanta, lo, hi):
+    return lo + 0.01 * (hi - lo)
+
+
+@pytest.mark.parametrize("guess", [lambda *args: None, _far_guess], ids=["none", "far"])
+@pytest.mark.parametrize("potential, window", [(Potential.harmonic(), (0.0, 40.0)),
+                                               (Potential.infinite_well(1.0), (0.0, 60.0))],
+                         ids=["harmonic", "well"])
+def test_counts_not_the_guess_decide_the_levels(potential, window, guess, monkeypatch):
+    reference = find_eigenvalues(potential, window, 64)
+    monkeypatch.setattr(schrodinger1d, "_action_guess", guess)
+    result = find_eigenvalues(potential, window, 64)
+    assert result.node_counts == reference.node_counts
+    spacing = potential.default_grid().spacing
+    resolution = 12.0 * math.ulp(1.0) / spacing**2
+    tolerance = np.maximum(1e-12 * np.maximum(1.0, np.abs(reference.energies)), resolution)
+    assert np.all(np.abs(result.energies - reference.energies) <= tolerance)
+    if potential.kind == "harmonic":
+        expected = np.array([harmonic_level(n) for n in range(40)])
+        assert np.abs(result.energies - expected).max() <= 1e-5
 
 
 @pytest.mark.parametrize(
