@@ -9,15 +9,18 @@ rightmost turning point yields the number of levels below the trial energy
 (a Sturm count) and a pole-free match.  Each level is guessed from the
 classical action quantization (1/pi hbar) int p dq = n + 1/2, the guess is
 verified by the Sturm count, and the level is then isolated by bisecting on
-the count and polished by Brent's method on the match.  The module also
-builds the canonical solution pairs that the reduced-action reconstruction
-consumes.
+the count and polished by Brent's method on the match.  Every sweep of
+one search reads the potential sampled once on the grid, and each level's
+eigenfunction is spliced from the two marches of the sweep that polished
+it, with no further march.  The module also builds the canonical solution
+pairs that the reduced-action reconstruction consumes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,6 +94,16 @@ class Potential:
             raise ValueError("hbar and mass must be positive")
         if self.kind == "infinite_well" and self.length <= 0:
             raise ValueError("well length must be positive")
+        # The potential's energy scale must be a float the solvers can square
+        # and divide by: m omega^2 for the oscillator, hbar^2/(m L^2) for the well.
+        if self.kind == "harmonic" and not math.isfinite(self.mass * (self.omega * self.omega)):
+            raise ValueError(f"m omega^2 overflows the float range (omega = {self.omega!r}, "
+                             f"m = {self.mass!r})")
+        if self.kind == "infinite_well":
+            unit = self.hbar / self.length * (self.hbar / self.length) / self.mass
+            if not sys.float_info.min <= unit <= sys.float_info.max:
+                raise ValueError(f"the well's energy unit hbar^2/(m L^2) = {unit!r} leaves the "
+                                 f"normal float range (L = {self.length!r}, m = {self.mass!r})")
 
     # -- constructors ------------------------------------------------------
 
@@ -242,47 +255,54 @@ class EigenResult:
 # the Numerov march in ratio form (a plain-float loop: it cannot vectorize)
 
 
-def _g_values(potential: Potential, energy: float, grid: RealGrid) -> np.ndarray:
-    q = grid.points()
-    return 2.0 * potential.mass * (energy - potential.evaluate(q)) / potential.hbar**2
+def _g_values(potential: Potential, energy: float, v: np.ndarray) -> np.ndarray:
+    """g = 2 m (E - V) / hbar^2 over the sampled potential ``v``."""
+    return 2.0 * potential.mass * (energy - v) / potential.hbar**2
 
 
-def _coefficients(potential: Potential, energy: float, grid: RealGrid) -> np.ndarray:
-    """Numerov coefficients c_i = 1 + h^2 g_i / 12 on the grid."""
-    return 1.0 + (grid.spacing**2 / 12.0) * _g_values(potential, energy, grid)
+def _coefficients(potential: Potential, energy: float, grid: RealGrid,
+                  v: np.ndarray) -> np.ndarray:
+    """Numerov coefficients c_i = 1 + h^2 g_i / 12 over the sampled potential."""
+    return 1.0 + (grid.spacing**2 / 12.0) * _g_values(potential, energy, v)
 
 
-def _ratios(c: np.ndarray, y0: float, y1: float) -> list[float]:
-    """Ratios r_i = y_{i+1}/y_i of the Numerov solution seeded by (y0, y1).
+def _ratios(c: np.ndarray, y0: float, y1: float) -> np.ndarray:
+    """Ratios r_i = y_{i+1}/y_i of the Numerov solution seeded by (y0, y1),
+    as one float array.
 
     The recurrence c_{i+1} y_{i+1} = (12 - 10 c_i) y_i - c_{i-1} y_{i-1}
     becomes r_i = ((12 - 10 c_i) - c_{i-1}/r_{i-1}) / c_{i+1} (Johnson,
     J. Chem. Phys. 69, 4678 (1978)): it cannot overflow, and every sign
     change of the solution is one negative ratio.  A zero seed y0 gives
     r_0 = inf.  An exact zero sample y_{k+1} = 0 is stored as r_k = 0
-    followed by the two-step ratio y_{k+2}/y_k = -c_k/c_{k+2}.
+    followed by the two-step ratio y_{k+2}/y_k = -c_k/c_{k+2}.  The
+    shooting sweeps keep these arrays: an eigenfunction is rebuilt from the
+    sweep that polished its level, without marching again.
     """
     coeff = c.tolist()
-    diag = (12.0 - 10.0 * c).tolist()
-    out = [y1 / y0 if y0 else math.inf]
-    append, r = out.append, out[0]
-    while True:
-        k = len(out)
+    first = y1 / y0 if y0 else math.inf
+    return np.fromiter(_ratio_steps(coeff, (12.0 - 10.0 * c).tolist(), first), float,
+                       len(coeff) - 1)
+
+
+def _ratio_steps(coeff: list[float], diag: list[float], r: float):
+    """The ratios of :func:`_ratios`, one plain-float step at a time."""
+    yield r
+    for d, cp, cn in zip(diag[1:-1], coeff, coeff[2:]):
         try:
-            for d, cp, cn in zip(diag[k:-1], coeff[k - 1 :], coeff[k + 1 :]):
-                r = (d - cp / r) / cn
-                append(r)
-            return out
+            r = (d - cp / r) / cn
         except ZeroDivisionError:  # r = 0: bridge the zero sample, go on from 1/0
-            append(-coeff[len(out) - 1] / coeff[len(out) + 1])
+            yield -cp / cn
             r = math.inf
+            continue
+        yield r
 
 
-def _samples(c: np.ndarray, y0: float, y1: float, log: bool = False):
+def _samples(ratios: np.ndarray, y0: float, y1: float, log: bool = False):
     """Samples of the Numerov solution seeded by (y0, y1), rebuilt from its
     ratios.  Raises Overflow past the range where products of two samples
     stay finite; with ``log`` it returns (log|y|, sign y), which cannot."""
-    factors = np.concatenate([[y0], np.fromiter(_ratios(c, y0, y1), float)])
+    factors = np.concatenate([[y0], ratios])
     zero = factors == 0.0  # exact zero samples; the next factor bridges each
     factors[zero] = 1.0
     if not y0:
@@ -317,7 +337,8 @@ def numerov_integrate(
     if direction not in ("left-to-right", "right-to-left"):
         raise ValueError("direction must be 'left-to-right' or 'right-to-left'")
     order = slice(None, None, -1 if direction == "right-to-left" else 1)
-    values = _samples(_coefficients(potential, energy, grid)[order], *seed)[order]
+    c = _coefficients(potential, energy, grid, potential.evaluate(grid.points()))[order]
+    values = _samples(_ratios(c, *seed), *seed)[order]
     return Wavefunction(grid, values, energy)
 
 
@@ -325,12 +346,12 @@ def numerov_integrate(
 # shooting
 
 
-def _decay_seeds(potential: Potential, energy: float, grid: RealGrid):
+def _decay_seeds(potential: Potential, energy: float, grid: RealGrid, v: np.ndarray):
     """Starting values of the solutions decaying into the left and right edges
     (their scale is immaterial: only their ratios are marched)."""
     if potential.hard_wall:
         return (0.0, 1.0), (0.0, 1.0)
-    gaps = potential.evaluate(np.array([grid.q_min, grid.q_max])) - energy
+    gaps = v[[0, -1]] - energy
     if gaps.min() <= 0.0:
         raise ValueError("energy is not classically forbidden at the grid edge; "
                          "the decaying seed is undefined")
@@ -338,12 +359,12 @@ def _decay_seeds(potential: Potential, energy: float, grid: RealGrid):
     return tuple((1.0, math.exp(k * grid.spacing)) for k in kappa)
 
 
-def _matching_index(potential: Potential, energy: float, grid: RealGrid) -> int:
+def _matching_index(v: np.ndarray, energy: float) -> int:
     """Rightmost classical turning point's index; grid midpoint if none."""
-    w = potential.evaluate(grid.points()) - energy
+    w = v - energy
     crossings = np.nonzero(w[:-1] * w[1:] <= 0.0)[0]
-    index = int(crossings[-1]) if len(crossings) else grid.n_points // 2
-    return min(max(index, 2), grid.n_points - 3)
+    index = int(crossings[-1]) if len(crossings) else len(v) // 2
+    return min(max(index, 2), len(v) - 3)
 
 
 def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid) -> float:
@@ -355,48 +376,56 @@ def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid) -> float
     strictly decreasing function of energy between its poles and crosses
     zero exactly at the bound-state energies.
     """
-    c = _coefficients(potential, energy, grid)
-    im = _matching_index(potential, energy, grid)
-    seed_l, seed_r = _decay_seeds(potential, energy, grid)
+    v = potential.evaluate(grid.points())
+    c = _coefficients(potential, energy, grid, v)
+    im = _matching_index(v, energy)
+    seed_l, seed_r = _decay_seeds(potential, energy, grid, v)
     # (y_{im+1} - y_{im-1}) / y_im on each side; the right march ends at im-1.
     left = _ratios(c[: im + 2], *seed_l)
     right = _ratios(c[im - 1 :][::-1], *seed_r)
-    return (left[-1] - 1.0 / (left[-2] or 1e-300)
-            - 1.0 / (right[-2] or 1e-300) + right[-1]) / (2.0 * grid.spacing)
+    return float(left[-1] - 1.0 / (left[-2] or 1e-300)
+                 - 1.0 / (right[-2] or 1e-300) + right[-1]) / (2.0 * grid.spacing)
 
 
-def _end(ratios: list[float]) -> tuple[int, float, float]:
+def _end(ratios: np.ndarray) -> tuple[int, float, float]:
     """Sign changes of a march up to its next-to-last sample p, and its last
     two samples (p, q) scaled to unit length with p >= 0.  An exact zero
     sample keeps the sign of the sample before it."""
-    nodes = int(np.count_nonzero(np.fromiter(ratios, float, len(ratios) - 1) < 0.0))
+    nodes = int(np.count_nonzero(ratios[:-1] < 0.0))
+    last = float(ratios[-1])
     if ratios[-2] == 0.0:  # p = 0; the last ratio bridges over it
-        return nodes, 0.0, math.copysign(1.0, ratios[-1])
-    norm = math.hypot(1.0, ratios[-1])
-    return nodes, 1.0 / norm, ratios[-1] / norm
+        return nodes, 0.0, math.copysign(1.0, last)
+    norm = math.hypot(1.0, last)
+    return nodes, 1.0 / norm, last / norm
 
 
 def _shoot(potential: Potential, energy: float, grid: RealGrid,
-           im: int | None = None) -> tuple[int, float, int]:
-    """One sweep: (levels below ``energy``, match w, matching index im).
+           v: np.ndarray | None = None, im: int | None = None):
+    """One sweep: (levels below ``energy``, match w, matching index im, and
+    the two marches as (ratios, y0, y1) of a and of b).
 
+    ``v`` is the potential sampled on the grid (sampled here if not given).
     Decaying solutions a (marched to im+1) and b (down to im) meet at the
     rightmost turning point unless ``im`` is given.  w is their Casoratian
     at (im, im+1), written cancellation-free and scaled to the sine of the
     angle between them, so it is pole-free and smooth in energy at fixed
     im.  The Sturm count (a's sign changes up to im, b's from im on, plus
     one when b1/b0 > a1/a0) does not depend on im."""
-    c = _coefficients(potential, energy, grid)
+    if v is None:
+        v = potential.evaluate(grid.points())
+    c = _coefficients(potential, energy, grid, v)
     if im is None:
-        im = _matching_index(potential, energy, grid)
-    seed_l, seed_r = _decay_seeds(potential, energy, grid)
+        im = _matching_index(v, energy)
+    seed_l, seed_r = _decay_seeds(potential, energy, grid, v)
+    left = _ratios(c[: im + 2], *seed_l)
+    right = _ratios(c[im:][::-1], *seed_r)
     # Unit tails up to the signs (-1)^nl and (-1)^nr of a0 and b1.
-    nl, a0, a1 = _end(_ratios(c[: im + 2], *seed_l))
-    nr, b1, b0 = _end(_ratios(c[im:][::-1], *seed_r))
+    nl, a0, a1 = _end(left)
+    nr, b1, b0 = _end(right)
     cross = a0 * b1 - b0 * a1
     w = -cross if (nl + nr) % 2 else cross
     count = nl + nr + (b0 < 0.0) + (cross < 0.0 if b0 < 0.0 else cross > 0.0)
-    return count, w, im
+    return count, w, im, ((left, *seed_l), (right, *seed_r))
 
 
 def _action_guess(potential: Potential, v: np.ndarray, grid: RealGrid, quanta: float,
@@ -460,30 +489,27 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     raise LevelsUnresolved("the level polish did not converge")
 
 
-def _assemble_eigenfunction(
-    potential: Potential, energy: float, grid: RealGrid, index: int
-) -> Wavefunction:
-    """Glue the left and right decaying solutions at the matching point;
-    raise NodeCountMismatch unless the result has ``index`` nodes."""
-    c = _coefficients(potential, energy, grid)
-    im = _matching_index(potential, energy, grid)
-
+def _assemble_eigenfunction(grid: RealGrid, energy: float, index: int,
+                            left, right) -> Wavefunction:
+    """Splice the two marches (ratios, y0, y1) of one sweep at ``energy``:
+    the left one ends at im+1, the right one at im.  Raise NodeCountMismatch
+    unless the result has ``index`` nodes."""
     # Both halves in log form: a decaying solution can grow past the float
     # range before it reaches the matching point.
-    seed_l, seed_r = _decay_seeds(potential, energy, grid)
-    left_log, left_sign = _samples(c[: im + 2], *seed_l, log=True)
-    right_log, right_sign = (part[::-1] for part in _samples(c[im - 1 :][::-1], *seed_r, log=True))
+    left_log, left_sign = _samples(*left, log=True)
+    right_log, right_sign = (part[::-1] for part in _samples(*right, log=True))
+    im = len(left_log) - 2
 
-    # The two marches overlap on indices im-1..im+1.  A node of the true
-    # eigenfunction can sit on any one grid point, leaving roundoff-level
-    # samples with meaningless signs, so anchor the splice at the overlap
-    # sample where both marches stand farthest from zero.
-    j = int(np.argmax(left_log[im - 1 :] + right_log[:3]))
-    shift = left_log[im - 1 + j] - right_log[j]
+    # The two marches overlap on indices im and im+1.  A node of the true
+    # eigenfunction can sit on either grid point, leaving a roundoff-level
+    # sample with a meaningless sign, so anchor the splice at the overlap
+    # sample where both marches stand farther from zero.
+    j = int(np.argmax(left_log[im:] + right_log[:2]))
+    shift = left_log[im + j] - right_log[j]
     if not math.isfinite(shift):
         raise DegeneratePair("matching point collapsed to zero on both sides")
-    logs = np.concatenate([left_log[:im], right_log[1:] + shift])
-    signs = np.concatenate([left_sign[:im], right_sign[1:] * left_sign[im - 1 + j] * right_sign[j]])
+    logs = np.concatenate([left_log[:im], right_log + shift])
+    signs = np.concatenate([left_sign[:im], right_sign * left_sign[im + j] * right_sign[j]])
     values = signs * np.exp(logs - logs.max())  # peak 1: the squares stay finite
 
     # A node can land exactly on a grid point, leaving a roundoff-level
@@ -518,10 +544,14 @@ def find_eigenvalues(
     narrows it, so the counts alone decide every level.  Bisection on the
     count then isolates level k, and Brent's method on the match polishes
     it to a width of 1e-12 max(1, |E|), or to the energy resolution of the
-    Numerov coefficients where that is wider.  Levels closer than float
-    spacing or than that energy resolution raise LevelsUnresolved (a
-    tunnelling doublet the grid cannot split), an eigenfunction without k nodes
-    raises NodeCountMismatch (the grid under-resolves it).  For soft
+    Numerov coefficients where that is wider.  The potential is sampled
+    once per call and every sweep reads that sample; the eigenfunction of
+    level k is spliced from the marches of the polish sweep at the returned
+    energy (one more sweep only when the polish ends on a bracket end, which
+    no polish sweep visited).  Levels closer than float spacing or than
+    that energy resolution raise LevelsUnresolved (a tunnelling doublet the
+    grid cannot split), an eigenfunction without k nodes raises
+    NodeCountMismatch (the grid under-resolves it).  For soft
     potentials only energies classically forbidden at both grid edges are
     searchable; a window with no such level raises NoEigenvalueInRange.
     The window's floor is raised to the potential's minimum on the grid,
@@ -558,7 +588,8 @@ def find_eigenvalues(
     resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
     doublet = ("two levels near E = %r lie closer than float spacing or than the grid's "
                f"energy resolution {resolution:.1e}; the grid cannot separate them")
-    shots = {e: _shoot(potential, e, grid) for e in (e_lo, search_hi)}
+    # Every sweep reads the sampled v; the table keeps (count, match, im).
+    shots = {e: _shoot(potential, e, grid, v)[:3] for e in (e_lo, search_hi)}
     k_lo, k_hi = shots[e_lo][0], shots[search_hi][0]
     if k_hi <= k_lo:
         raise NoEigenvalueInRange("no level inside the energy window")
@@ -577,11 +608,11 @@ def find_eigenvalues(
         lo, hi = bracket(k)
         guess = _action_guess(potential, v, grid, k + maslov, lo, hi)
         if guess is not None and lo < guess < hi:
-            shots[guess] = _shoot(potential, guess, grid)
+            shots[guess] = _shoot(potential, guess, grid, v)[:3]
             step = _GUESS_STEP * (hi - lo) / (shots[hi][0] - shots[lo][0])
             side = {k: guess + step, k + 1: guess - step}.get(shots[guess][0])
             if side is not None and lo < side < hi:
-                shots[side] = _shoot(potential, side, grid)
+                shots[side] = _shoot(potential, side, grid, v)[:3]
         for _ in range(_LEVEL_MAX_ITER):
             lo, hi = bracket(k)
             if shots[lo][0] == k and shots[hi][0] == k + 1:
@@ -589,18 +620,28 @@ def find_eigenvalues(
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 raise LevelsUnresolved(doublet % mid)
-            shots[mid] = _shoot(potential, mid, grid)
+            shots[mid] = _shoot(potential, mid, grid, v)[:3]
         else:
             raise LevelsUnresolved(f"level {k} not isolated in {_LEVEL_MAX_ITER} steps")
 
+        # The polish keeps the marches of each of its sweeps, so the level's
+        # eigenfunction is spliced from the sweep that found it.
         _, f_hi, im = shots[hi]
-        f_lo = shots[lo][1] if shots[lo][2] == im else _shoot(potential, lo, grid, im)[1]
-        level = _brent(lambda e: _shoot(potential, e, grid, im)[1], lo, hi, f_lo, f_hi,
+        polish = {}
+
+        def match(e):
+            _, w, _, polish[e] = _shoot(potential, e, grid, v, im)
+            return w
+
+        f_lo = shots[lo][1] if shots[lo][2] == im else match(lo)
+        level = _brent(match, lo, hi, f_lo, f_hi,
                        max(_LEVEL_RTOL * max(1.0, abs(lo), abs(hi)), resolution))
         if energies and level - energies[-1] < resolution:
             raise LevelsUnresolved(doublet % level)
+        if level not in polish:  # the polish ended on an end of the count bracket
+            match(level)
         energies.append(level)
-        functions.append(_assemble_eigenfunction(potential, level, grid, k))
+        functions.append(_assemble_eigenfunction(grid, level, k, *polish[level]))
 
     return EigenResult(np.array(energies), tuple(levels), tuple(functions))
 
@@ -630,11 +671,22 @@ def wronskian_profile(
     return (16.0 * w_h_centered - w_2h) / 15.0
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-d float array, by one partition: np.median imports
+    numpy.ma on first use, which costs a fresh process more than the rest
+    of a trajectory run's validation."""
+    half, odd = divmod(len(values), 2)
+    part = np.partition(values, (half, -1) if odd else (half - 1, half, -1))
+    if np.isnan(part[-1]):  # a NaN sorts last and makes the median NaN
+        return math.nan
+    return float(part[half] if odd else 0.5 * (part[half - 1] + part[half]))
+
+
 def _validated_wronskian(
     u: np.ndarray, v: np.ndarray, g: np.ndarray, spacing: float
 ) -> float:
     profile = wronskian_profile(u, v, g, spacing)
-    wbar = float(np.median(profile))
+    wbar = _median(profile)
     spread = float(np.abs(profile - wbar).max())
     if wbar == 0.0 or spread > 0.5 * abs(wbar):
         raise DegeneratePair("solutions are (numerically) linearly dependent")
@@ -686,7 +738,7 @@ def solution_pair(
     """
     q = grid.points()
     h = grid.spacing
-    g = _g_values(potential, energy, grid)
+    g = _g_values(potential, energy, potential.evaluate(q))
 
     if anchor is None:
         i0 = grid.n_points // 2
@@ -699,7 +751,8 @@ def solution_pair(
                 1.0 / (grid.q_max - grid.q_min))
 
     c = 1.0 + (h * h / 12.0) * g
-    u, v = (np.concatenate([_samples(c[i0::-1], at, minus)[:0:-1], _samples(c[i0:], at, plus)])
+    u, v = (np.concatenate([_samples(_ratios(c[i0::-1], at, minus), at, minus)[:0:-1],
+                            _samples(_ratios(c[i0:], at, plus), at, plus)])
             for at, (plus, minus) in ((1.0, _taylor_start(g, h, i0, 1.0, 0.0)),
                                       (0.0, _taylor_start(g, h, i0, 0.0, kappa))))
     return pair_from_wavefunctions(Wavefunction(grid, u, energy), Wavefunction(grid, v, energy),
@@ -716,7 +769,7 @@ def pair_from_wavefunctions(
     """
     if u.grid != v.grid or u.energy != v.energy:
         raise ValueError("pair members must share grid and energy")
-    g = _g_values(potential, u.energy, u.grid)
+    g = _g_values(potential, u.energy, potential.evaluate(u.grid.points()))
     wbar = _validated_wronskian(u.values, v.values, g, u.grid.spacing)
     scale = math.sqrt(potential.hbar / abs(wbar))
     flip = 1.0 if wbar > 0 else -1.0

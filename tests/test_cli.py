@@ -156,6 +156,28 @@ class TestSpectrum:
         assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--potential", "harmonic:w=1e300", "--range", "0:5"),
+        ("trajectory", "--potential", "harmonic:w=1e300", "--energy", "1"),
+        ("spectrum", "--potential", "well:L=1e300", "--range", "0:5"),
+        ("trajectory", "--potential", "well:L=1e300", "--energy", "1"),
+        ("spectrum", "--potential", "well:L=1e-300", "--range", "0:5"),
+    ],
+    ids=["spectrum-huge-omega", "trajectory-huge-omega", "spectrum-huge-well",
+         "trajectory-huge-well", "spectrum-tiny-well"],
+)
+def test_extreme_finite_parameters_are_usage_errors(capsys, argv):
+    # Finite parameters whose energy scale leaves the float range are
+    # refused where the potential is built, not met as an OverflowError or
+    # ZeroDivisionError deep inside a solver.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "float range" in err
+
+
 class TestOutputTarget:
     @pytest.mark.parametrize(
         "argv",
@@ -237,6 +259,21 @@ class TestTrajectory:
         assert code == 0
         assert "residual sup-norm" in err
         assert len(calls) == 12
+
+    def test_one_run_imports_no_masked_arrays(self):
+        # np.median imports numpy.ma on first use, which costs a fresh
+        # process more than the Wronskian check that needs the median.
+        src = str(Path(qmkit.__file__).resolve().parents[1])
+        script = (
+            "import contextlib, io, sys\n"
+            "from qmkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['trajectory', '--potential', 'harmonic', '--energy', '1.3'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout.split() == ["0", "False"], done.stderr
 
     def test_free_particle_time_column_is_linear(self, capsys):
         code, out, err = run(

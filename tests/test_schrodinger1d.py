@@ -414,6 +414,31 @@ def test_well_window_costs_at_most_5_sweeps_per_level():
     assert per_level <= 5.0
 
 
+@pytest.mark.parametrize("potential, window", [(Potential.harmonic(), (0.0, 40.0)),
+                                               (Potential.infinite_well(1.0), (0.0, 60.0))],
+                         ids=["harmonic", "well"])
+def test_each_sweep_marches_twice_and_the_potential_is_sampled_once(potential, window):
+    # Two marches per sweep and none after it: every eigenfunction comes
+    # from the polish sweep at its level, and every sweep reads the one
+    # sample of the potential that find_eigenvalues takes.
+    calls = {"_shoot": 0, "_ratios": 0, "evaluate": 0}
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_shoot", "_ratios"):
+            patch.setattr(schrodinger1d, name, counting(name, getattr(schrodinger1d, name)))
+        patch.setattr(Potential, "evaluate", counting("evaluate", Potential.evaluate))
+        result = find_eigenvalues(potential, window, 64)
+    assert len(result.energies) >= 3
+    assert calls["_ratios"] == 2 * calls["_shoot"]
+    assert calls["evaluate"] == 1
+
+
 def _far_guess(potential, v, grid, quanta, lo, hi):
     return lo + 0.01 * (hi - lo)
 
@@ -543,3 +568,11 @@ def test_inconsistent_samples_rejected():
     v = Wavefunction(grid, q.copy(), 0.5)
     with pytest.raises(DegeneratePair):
         pair_from_wavefunctions(u, v, Potential.free())
+
+
+@pytest.mark.parametrize("size", [7, 8, 4001, 4002])
+def test_wronskian_median_equals_numpy_median(size):
+    profile = np.random.default_rng(size).normal(1.0, 1e-9, size)
+    assert schrodinger1d._median(profile) == np.median(profile)
+    profile[size // 3] = np.nan
+    assert math.isnan(schrodinger1d._median(profile))
