@@ -116,7 +116,6 @@ def _build_parser() -> _Parser:
                             help="time-parameterized path (t, q, p)")
     p_traj.add_argument("--potential", required=True)
     p_traj.add_argument("--energy", type=float, required=True)
-    p_traj.add_argument("--de", type=float, default=None, help="energy step for dt = dS/dE")
 
     p_audit = sub.add_parser("audit", help="run an invariant suite, emit a JSON report")
     p_audit.add_argument("suite", choices=_AUDIT_SUITES + ("all",))
@@ -252,18 +251,16 @@ def cmd_spectrum(
     return _EXIT_OK
 
 
-def cmd_trajectory(
-    config: RunConfig, potential_text: str, energy: float, de: float | None
-) -> int:
+def cmd_trajectory(config: RunConfig, potential_text: str, energy: float) -> int:
     potential = parse_potential(potential_text)
-    if not math.isfinite(energy) or (de is not None and not math.isfinite(de)):
-        raise _UsageError("--energy and --de must be finite")
+    if not math.isfinite(energy):
+        raise _UsageError("--energy must be finite")
     # The potential's generic default grid is wrong for trajectory work:
     # deep forbidden tails starve the time column of resolvable increments.
     grid = config.grid if config.grid is not None else suggest_trajectory_grid(
         potential, energy
     )
-    trajectory = floyd_trajectory(potential, energy, grid, dE=de)
+    trajectory = floyd_trajectory(potential, energy, grid)
     residual = qshje_residual(trajectory.action, potential)
     if config.output_format == "json":
         payload = json.dumps(
@@ -477,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(config, args.potential, args.energy_range, args.count)
         if args.command == "trajectory":
-            return cmd_trajectory(config, args.potential, args.energy, args.de)
+            return cmd_trajectory(config, args.potential, args.energy)
         return cmd_audit(config, args.suite)
     except (_UsageError, ValueError, QmkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,10 @@ turns the stationary Hamilton-Jacobi identity
 
     (S0')^2 / 2m + V - E + Q = 0
 
-into a pointwise residual check, and trajectory time is recovered from
-the energy derivative t = dS0/dE taken by central differences.
+into a pointwise residual check.  Trajectory time is Jacobi's
+t = dS0/dE, taken in closed form from the same pair: the Duhamel formula
+for the energy derivatives of u and v turns it into three cumulative
+integrals of u^2, u v and v^2.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import numpy as np
 
 from .errors import NonMonotoneTime
 from .grids import RealGrid, SampledFunction
-from .schrodinger1d import Potential, SolutionPair, Wavefunction, solution_pair
+from .schrodinger1d import (Potential, SolutionPair, Wavefunction, _g_values, _launch,
+                            solution_pair)
 from .schwarzian import _braces
 
 __all__ = [
@@ -196,42 +199,43 @@ def bipolar_reconstruct(action: ReducedAction, A: complex, B: complex) -> Wavefu
     return Wavefunction(action.grid, values, action.energy)
 
 
-def floyd_trajectory(
-    potential: Potential,
-    energy: float,
-    grid: RealGrid,
-    dE: float | None = None,
-    anchor: float | None = None,
-) -> Trajectory:
-    """Trajectory time from the energy derivative of the reduced action.
+def floyd_trajectory(potential: Potential, energy: float, grid: RealGrid) -> Trajectory:
+    """Trajectory time t = dS0/dE from the one solution pair at E.
 
-    Builds solution pairs at E - dE, E, E + dE with matched anchoring and
-    Wronskian convention, takes t(q) = dS0/dE by central differences
-    (default step 1e-4 * max(|E|, 1); much smaller steps lose more to
-    roundoff in S0 than they gain in truncation error), shifts t to start
-    at zero and pairs it with the exact momentum at E.  The outer 5% of
-    points per side is excluded; non-monotone time on the remaining window
-    raises NonMonotoneTime rather than being silently repaired.  The returned
-    trajectory's ``action`` is the reduced action at E over the whole grid,
-    so callers need not rebuild the pair at E for residuals or exports.
+    With theta = S0/hbar = arctan(v/u), the Duhamel formula for du/dE and
+    dv/dE of the pair launched at q0 gives, with Iab = integral of a b from
+    q0 to q and W the pair's Wronskian,
+
+        dtheta/dE = (2m/hbar^2) (u^2 Ivv - 2 u v Iuv + v^2 Iuu) / (W (u^2 + v^2))
+                    + (kappa_E / kappa) u v / (u^2 + v^2).
+
+    The second term is the energy dependence of the launch slope kappa.  t
+    is shifted to start at zero and paired with the exact momentum at E.
+    The outer 5% of points per side is excluded; non-monotone time on the
+    rest raises NonMonotoneTime rather than being silently repaired.  It
+    does so on the double well (q^2 - 1)^2 at E = 0.4-0.6: a property of
+    the centre-launched microstate, not a numerical defect.  ``action`` is
+    the reduced action at E over the whole grid.
     """
-    if dE is None:
-        dE = 1e-4 * max(abs(energy), 1.0)
-    if dE <= 0.0:
-        raise ValueError("dE must be positive")
     hbar, mass = potential.hbar, potential.mass
+    pair = solution_pair(potential, energy, grid)
+    action = reduced_action_from_pair(pair, hbar=hbar, mass=mass)
 
-    actions = {}
-    for offset in (-dE, 0.0, +dE):
-        pair = solution_pair(potential, energy + offset, grid, anchor=anchor)
-        actions[offset] = reduced_action_from_pair(pair, hbar=hbar, mass=mass)
+    q = grid.points()
+    i0, _, log_slope = _launch(_g_values(potential, energy, potential.evaluate(q)), grid)
+    u, v = pair.u.values, pair.v.values
+    f = np.stack([u * u, u * v, v * v])
+    steps = 0.5 * grid.spacing * (f[:, 1:] + f[:, :-1])
+    # Trapezoid sums outward from i0 on each side: one cumsum from the edge,
+    # less its value at i0, would cancel the growing tails' huge sums.
+    iuu, iuv, ivv = np.concatenate([-np.cumsum(steps[:, i0 - 1::-1], axis=1)[:, ::-1],
+                                    np.zeros((3, 1)), np.cumsum(steps[:, i0:], axis=1)], axis=1)
+    spread = (u * u * ivv - 2.0 * u * v * iuv + v * v * iuu) / pair.wronskian
+    t = (2.0 * mass / hbar) * (spread + log_slope * u * v) / (u * u + v * v)  # hbar dtheta/dE
 
-    t = (actions[+dE].S0 - actions[-dE].S0) / (2.0 * dE)
     window = _central_slice(grid.n_points)
     t = t[window]
-    q = grid.points()[window]
-    p = actions[0.0].S0_prime[window]
-    return Trajectory(t - t[0], q, p, energy, actions[0.0])
+    return Trajectory(t - t[0], q[window], action.S0_prime[window], energy, action)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,7 @@ def _scan_grid(potential: Potential, energy: float,
     The domain covers the classically allowed interval plus forbidden tails
     holding `_TAIL_ACTION` units of WKB action; the spacing resolves the local
     oscillation length.  Returns the grid and the turning points
-    (allowed-interval ends).  The pair is marched outward from the anchor,
+    (allowed-interval ends).  The pair is marched outward from the centre,
     so tail depth never sharpens interior values -- it only amplifies the
     growing solution by e^(2*_TAIL_ACTION) and with it the roundoff in both
     solutions, which is why the tails are kept shallow.
@@ -314,20 +318,16 @@ def suggest_trajectory_grid(potential: Potential, energy: float) -> RealGrid:
 
     Covers the classically allowed interval plus short forbidden-tail
     pads, finely sampled.  Long tails are deliberately excluded: time
-    increments decay exponentially there and drop below double-precision
-    resolution, which poisons the strict monotonicity of the time column,
-    and the growing solution branch loses the decaying one to roundoff.
+    increments decay exponentially there and, in deep enough tails
+    (harmonic E = 0.5 on [-7, 7]), drop below the float resolution of t,
+    which breaks the strict monotonicity of the time column; deeper still,
+    the growing solution branch loses the decaying one to roundoff.
     """
     grid, _, _ = _scan_grid(potential, energy, min_points=40001)
     return grid
 
 
-def classical_limit_scan(
-    potential: Potential,
-    energy: float,
-    hbar_sequence,
-    anchor: float | None = None,
-) -> list[ScanRow]:
+def classical_limit_scan(potential: Potential, energy: float, hbar_sequence) -> list[ScanRow]:
     """Track the quantum potential as hbar shrinks at fixed energy.
 
     For each hbar the pair, action and quantum potential are rebuilt on a
@@ -340,7 +340,7 @@ def classical_limit_scan(
     for hb in hbar_sequence:
         scaled = replace(potential, hbar=float(hb))
         grid, q_lo_t, q_hi_t = _scan_grid(scaled, energy)
-        pair = solution_pair(scaled, energy, grid, anchor=anchor)
+        pair = solution_pair(scaled, energy, grid)
         action = reduced_action_from_pair(pair, hbar=float(hb), mass=scaled.mass)
         q_pot = quantum_potential(action)
 

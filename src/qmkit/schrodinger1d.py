@@ -710,45 +710,45 @@ def _validated_wronskian(
 def _taylor_start(g: np.ndarray, h: float, i0: int, value: float,
                   derivative: float) -> tuple[float, float]:
     """Fourth-order series values at q0 +/- h from (psi, psi') at q0."""
-    g0 = g[i0]
-    g1 = (g[i0 + 1] - g[i0 - 1]) / (2.0 * h)
-    g2 = (g[i0 + 1] - 2.0 * g[i0] + g[i0 - 1]) / (h * h)
+    # Python floats and products, not **: on a huge spacing they overflow
+    # to inf silently, and the march reports Overflow.
+    g_minus, g0, g_plus = g[i0 - 1:i0 + 2].tolist()
+    g1 = (g_plus - g_minus) / (2.0 * h)
+    g2 = (g_plus - 2.0 * g0 + g_minus) / (h * h)
     d2 = -g0 * value
     d3 = -g1 * value - g0 * derivative
     d4 = -g2 * value - 2.0 * g1 * derivative + g0 * g0 * value
-    plus = value + h * derivative + h * h * d2 / 2.0 + h**3 * d3 / 6.0 + h**4 * d4 / 24.0
-    minus = value - h * derivative + h * h * d2 / 2.0 - h**3 * d3 / 6.0 + h**4 * d4 / 24.0
+    h2, h3 = h * h, h * h * h
+    plus = value + h * derivative + h2 * d2 / 2.0 + h3 * d3 / 6.0 + h2 * h2 * d4 / 24.0
+    minus = value - h * derivative + h2 * d2 / 2.0 - h3 * d3 / 6.0 + h2 * h2 * d4 / 24.0
     return plus, minus
 
 
-def solution_pair(
-    potential: Potential,
-    energy: float,
-    grid: RealGrid,
-    anchor: float | None = None,
-) -> SolutionPair:
+def _launch(g: np.ndarray, grid: RealGrid) -> tuple[int, float, float]:
+    """The launch of :func:`solution_pair`: sample i0 (the centre, clamped to
+    [2, n - 3]), slope kappa = max(sqrt|g(q0)|, 1/width) of the sine-like
+    member, and d(ln kappa)/dg(q0), which is zero on the 1/width floor."""
+    i0 = min(max(grid.n_points // 2, 2), grid.n_points - 3)
+    root = math.sqrt(abs(g[i0]))
+    floor = 1.0 / (grid.q_max - grid.q_min)
+    if root >= floor:
+        return i0, root, 0.5 / g[i0]
+    return i0, floor, 0.0
+
+
+def solution_pair(potential: Potential, energy: float, grid: RealGrid) -> SolutionPair:
     """Two independent real solutions at one energy, Wronskian scaled to hbar.
 
-    The pair is launched from an interior anchor (grid center by default)
-    with cosine-like and sine-like initial data whose slope matches the
-    local classical wavenumber.  That choice keeps u^2 + v^2 free of
-    spurious beats in the classically allowed region, which is what makes
-    the semiclassical limit of the reconstructed action clean.  Any other
-    independent pair would satisfy the same stationary identities.
+    The pair is launched from the grid centre with cosine-like and sine-like
+    initial data whose slope matches the local classical wavenumber.  That
+    choice keeps u^2 + v^2 free of spurious beats in the classically allowed
+    region, which is what makes the semiclassical limit of the reconstructed
+    action clean.  Any other independent pair would satisfy the same
+    stationary identities.
     """
-    q = grid.points()
     h = grid.spacing
-    g = _g_values(potential, energy, potential.evaluate(q))
-
-    if anchor is None:
-        i0 = grid.n_points // 2
-    else:
-        i0 = int(np.argmin(np.abs(q - anchor)))
-    i0 = min(max(i0, 2), grid.n_points - 3)
-
-    local = abs(g[i0])
-    kappa = max(math.sqrt(local) if local > 0 else 0.0,
-                1.0 / (grid.q_max - grid.q_min))
+    g = _g_values(potential, energy, potential.evaluate(grid.points()))
+    i0, kappa, _ = _launch(g, grid)
 
     c = 1.0 + (h * h / 12.0) * g
     u, v = (np.concatenate([_samples(_ratios(c[i0::-1], at, minus), at, minus)[:0:-1],

@@ -4,9 +4,11 @@ Every numeric expectation frozen into the test suite traces back to one of
 the helpers here: symbolic differentiation for Schwarzian-derivative
 values, 2x2 matrix algebra for fractional-linear composition, closed-form
 spectra and eigenfunctions for the built-in potentials, a full-sweep Numerov
-node count, the plain Numerov recurrence, and brute-force path enumeration
-for amplitude networks.  None of these share code with the library under
-test.
+node count, the plain Numerov recurrence, brute-force path enumeration for
+amplitude networks, and trajectory time by central differences in energy.
+Only the last calls the library: it differences the library's reduced
+action at neighbouring energies, the route to t = dS0/dE that the closed
+form under test replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numpy as np
 import sympy as sp
 
-from qmkit import RealGrid, SampledFunction
+from qmkit import Potential, RealGrid, SampledFunction, reduced_action_from_pair, solution_pair
 from qmkit.saqm import AmplitudeNetwork
 
 _X = sp.Symbol("x")
@@ -99,6 +101,27 @@ def numerov_samples(g: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray
     for i in range(1, len(c) - 1):
         y.append(((12.0 - 10.0 * c[i]) * y[i] - c[i - 1] * y[i - 1]) / c[i + 1])
     return np.array(y)
+
+
+def floyd_time_by_central_difference(potential: Potential, energy: float,
+                                     grid: RealGrid) -> np.ndarray:
+    """Trajectory time t = dS0/dE on the central 90% of the grid, from 0.
+
+    Central differences of the reduced action over E +/- dE at dE = 1e-2 and
+    1e-3, Richardson-extrapolated to cancel their O(dE^2) error; roundoff
+    barely touches steps this large.
+    """
+    def central(step):
+        lo, hi = (reduced_action_from_pair(solution_pair(potential, energy + s, grid),
+                                           hbar=potential.hbar, mass=potential.mass).S0
+                  for s in (-step, step))
+        return (hi - lo) / (2.0 * step)
+
+    coarse, fine = central(1e-2), central(1e-3)
+    t = fine + (fine - coarse) / 99.0
+    trim = int(math.floor(0.05 * grid.n_points))
+    t = t[trim:grid.n_points - trim]
+    return t - t[0]
 
 
 def harmonic_eigenfunction(n: int, q: np.ndarray) -> np.ndarray:

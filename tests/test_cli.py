@@ -178,6 +178,17 @@ def test_extreme_finite_parameters_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and "float range" in err
 
 
+@pytest.mark.parametrize("length", ["1e100", "1e150"])
+def test_huge_well_trajectory_reports_overflow(capsys, length):
+    # The well's energy unit stays in range, but the suggested grid spacing
+    # L/40000 is so large that the pair's launch series overflows.
+    code, out, err = run(capsys, "trajectory", "--potential", f"well:L={length}",
+                         "--energy", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestOutputTarget:
     @pytest.mark.parametrize(
         "argv",
@@ -226,11 +237,12 @@ class TestFlagScope:
             ("trajectory", "--potential", "free", "--energy", "0.5", "--seed", "3"),
             ("trajectory", "--potential", "free", "--energy", "0.5",
              "--tol-override", "cocycle=1"),
+            ("trajectory", "--potential", "free", "--energy", "0.5", "--de", "0"),
             ("audit", "counting", "--grid", "0:1:11"),
             ("audit", "counting", "--format", "csv"),
         ],
         ids=["spectrum-seed", "spectrum-tol", "trajectory-seed", "trajectory-tol",
-             "audit-grid", "audit-format"],
+             "trajectory-de", "audit-grid", "audit-format"],
     )
     def test_flags_the_subcommand_does_not_read_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -240,9 +252,8 @@ class TestFlagScope:
 
 
 class TestTrajectory:
-    def test_one_run_marches_three_solution_pairs(self, capsys, monkeypatch):
-        # Pairs at E - dE, E and E + dE, four marches each; the residual
-        # reuses the action at E instead of building a fourth pair.
+    def test_one_run_marches_one_solution_pair(self, capsys, monkeypatch):
+        # One pair at E, four marches; time and the residual both read it.
         from qmkit import schrodinger1d
 
         calls = []
@@ -258,7 +269,7 @@ class TestTrajectory:
         )
         assert code == 0
         assert "residual sup-norm" in err
-        assert len(calls) == 12
+        assert len(calls) == 4
 
     def test_one_run_imports_no_masked_arrays(self):
         # np.median imports numpy.ma on first use, which costs a fresh
@@ -319,15 +330,6 @@ class TestTrajectory:
         assert code == 1
         assert out == ""
         assert "must be finite" in err
-
-    def test_zero_energy_step_is_an_input_error(self, capsys):
-        code, _, err = run(
-            capsys,
-            "trajectory", "--potential", "free", "--energy", "0.5",
-            "--grid", "0:10:501", "--de", "0",
-        )
-        assert code == 1
-        assert "error:" in err
 
 
 class TestAudit:

@@ -29,9 +29,13 @@ from qmkit import (
 )
 from qmkit.errors import DegeneratePair, NonMonotoneTime
 
+from oracles import floyd_time_by_central_difference
+
 FREE_GRID = RealGrid(0.0, 10.0, 1001)
 HARMONIC_GRID = RealGrid(-4.0, 4.0, 80001)
 BIPOLAR_GRID = RealGrid(-4.0, 4.0, 4001)
+_QUARTIC_Q = np.linspace(-4.0, 4.0, 801)
+QUARTIC = Potential.tabulated(_QUARTIC_Q, 0.5 * _QUARTIC_Q**2 + 0.1 * _QUARTIC_Q**4)
 
 # Reference grids for the random-energy residual sweeps.  Windows are kept
 # shallow enough in the classically forbidden tails that the outward march
@@ -212,30 +216,41 @@ class TestTrajectory:
         trajectory = floyd_trajectory(pot, 0.5, FREE_GRID)
         assert np.abs(trajectory.p - 1.0).max() < 1e-8
 
-    @pytest.mark.parametrize("energy", [0.5, 1.5])
-    def test_default_energy_step_is_within_truncation_accuracy(self, energy):
-        # Richardson extrapolation of the O(dE^2) central difference from
-        # dE = 1e-2 and 1e-3 gives a reference that roundoff barely touches.
-        pot = Potential.harmonic()
-        grid = suggest_trajectory_grid(pot, energy)
-        coarse = floyd_trajectory(pot, energy, grid, dE=1e-2).t
-        fine = floyd_trajectory(pot, energy, grid, dE=1e-3).t
-        reference = fine + (fine - coarse) / 99.0
-        default = floyd_trajectory(pot, energy, grid).t
-        assert np.abs(default - reference).max() < 2e-5
+    @pytest.mark.parametrize(
+        "potential, energy",
+        [(Potential.harmonic(), 0.5), (Potential.harmonic(), 1.5), (QUARTIC, 1.0)],
+        ids=["harmonic-0.5", "harmonic-1.5", "quartic-1.0"],
+    )
+    def test_time_matches_the_central_difference_oracle(self, potential, energy):
+        grid = suggest_trajectory_grid(potential, energy)
+        reference = floyd_time_by_central_difference(potential, energy, grid)
+        t = floyd_trajectory(potential, energy, grid).t
+        assert np.abs(t - reference).max() < 2e-6
 
-    def test_nonpositive_energy_step_is_rejected(self):
-        pot = Potential.free()
-        with pytest.raises(ValueError, match="positive"):
-            floyd_trajectory(pot, 0.5, FREE_GRID, dE=0.0)
-
-    def test_deep_forbidden_tails_report_nonmonotone_time(self):
+    def test_deep_forbidden_tails_keep_time_rising(self):
         # At E = 0.5 a [-6, 6] window reaches far past the turning points;
-        # dS0/dE in the tail falls below the noise of the two side pairs,
-        # so the time column loses monotonicity and must be reported.
+        # the time column still rises strictly there and, aligned at q = 0,
+        # matches the suggested grid's on their overlap.
         pot = Potential.harmonic()
+        wide = floyd_trajectory(pot, 0.5, RealGrid(-6.0, 6.0, 40001))
+        assert np.all(np.diff(wide.t) > 0.0)
+        narrow = floyd_trajectory(pot, 0.5, suggest_trajectory_grid(pot, 0.5))
+        overlap = wide.q[(wide.q >= narrow.q[0]) & (wide.q <= narrow.q[-1])]
+
+        def aligned(trajectory):
+            t = np.interp(overlap, trajectory.q, trajectory.t)
+            return t - np.interp(0.0, trajectory.q, trajectory.t)
+
+        assert np.abs(aligned(wide) - aligned(narrow)).max() < 1e-7
+
+    @pytest.mark.parametrize("energy", [0.4, 0.5, 0.6])
+    def test_double_well_microstate_time_turns_back(self, energy):
+        # The centre-launched pair's t = dS0/dE is not monotone here: a
+        # property of that microstate, reported rather than repaired.
+        q = np.linspace(-4.0, 4.0, 1601)
+        pot = Potential.tabulated(q, (q * q - 1.0) ** 2)
         with pytest.raises(NonMonotoneTime):
-            floyd_trajectory(pot, 0.5, RealGrid(-6.0, 6.0, 40001))
+            floyd_trajectory(pot, energy, suggest_trajectory_grid(pot, energy))
 
 
 class TestClassicalLimitScan:
