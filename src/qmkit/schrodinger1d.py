@@ -6,14 +6,16 @@ marched in ratio form y_{i+1}/y_i: no march overflows, and every node is
 one negative ratio.  Bound states of confining potentials are located by
 shooting: one sweep of decaying solutions inward from both edges to the
 rightmost turning point yields the number of levels below the trial energy
-(a Sturm count) and a pole-free match.  Each level is guessed from the
-classical action quantization (1/pi hbar) int p dq = n + 1/2, the guess is
-verified by the Sturm count, and the level is then isolated by bisecting on
-the count and polished by Brent's method on the match.  Every sweep of
-one search reads the potential sampled once on the grid, and each level's
-eigenfunction is spliced from the two marches of the sweep that polished
-it, with no further march.  The module also builds the canonical solution
-pairs that the reduced-action reconstruction consumes.
+(a Sturm count) and a pole-free match.  Each level starts from the
+classical action quantization (1/pi hbar) int p dq = n + 1/2 and is
+polished by Newton steps on the match, whose energy derivative the sweep
+itself yields (Cooley's corrector on the Numerov recurrence); the Sturm
+count sets each step's direction and bisects wherever a step would leave
+the level's count bracket.  Every sweep of one search reads the potential
+sampled once on the grid, and each level's eigenfunction is spliced from
+the two marches of the sweep that ended its polish, with no further
+march.  The module also builds the canonical solution pairs that the
+reduced-action reconstruction consumes.
 """
 
 from __future__ import annotations
@@ -47,17 +49,15 @@ __all__ = [
 #: Magnitude bound of stored samples: products of two of them stay finite.
 _MAX_MAGNITUDE = 1e140
 
-#: Eigenvalue polishing stops below this width relative to max(1, |E|).
+#: The Newton polish stops once its step is below half this width relative
+#: to max(1, |E|).
 _LEVEL_RTOL = 1e-12
 
-#: Iteration cap of each level's guess, count bisection and polish.
+#: Iteration cap of each level's action guess and of its Newton polish.
 _LEVEL_MAX_ITER = 200
 
 #: The level guess stops within this many quanta of its action target.
 _GUESS_TOL = 1e-6
-
-#: Offset of the second shot from the guess, in mean level spacings.
-_GUESS_STEP = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def _ratios(c: np.ndarray, y0: float, y1: float) -> np.ndarray:
     r_0 = inf.  An exact zero sample y_{k+1} = 0 is stored as r_k = 0
     followed by the two-step ratio y_{k+2}/y_k = -c_k/c_{k+2}.  The
     shooting sweeps keep these arrays: an eigenfunction is rebuilt from the
-    sweep that polished its level, without marching again.
+    sweep that ended its level's Newton polish, without marching again.
     """
     coeff = c.tolist()
     first = y1 / y0 if y0 else math.inf
@@ -456,48 +456,38 @@ def _action_guess(potential: Potential, v: np.ndarray, grid: RealGrid, quanta: f
     return guess
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
-    """Root of f in the sign-changing bracket [a, b] to about ``xtol``, by
-    Brent's method (Brent 1973, ch. 4): interpolation or bisection steps."""
-    if fa * fb > 0.0:
-        raise LevelsUnresolved("the match keeps its sign across an isolated level")
-    c, fc, d, e = a, fa, b - a, b - a
-    for _ in range(_LEVEL_MAX_ITER):
-        if abs(fc) < abs(fb):
-            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * xtol
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        interpolate = abs(e) >= tol and abs(fa) > abs(fb)
-        if interpolate:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            p, q = abs(p), (-q if p > 0.0 else q)
-            interpolate = 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q)
-        e, d = (d, p / q) if interpolate else (m, m)
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        if fb * fc > 0.0:
-            c, fc, d, e = a, fa, b - a, b - a
-    raise LevelsUnresolved("the level polish did not converge")
+def _match_slope(potential: Potential, grid: RealGrid, left, right):
+    """Newton data of one sweep of :func:`_shoot`, from its marches (ratios,
+    y0, y1) of a and b: |dw/dE| at fixed im, the cosine of the angle between
+    the tails (a_im, a_im+1) and (b_im, b_im+1) of the edge-positive
+    solutions, and both marches in grid order as (log|y|, sign y).
+
+    With z_i = c_i y_i the Numerov recurrence gives D_i - D_{i-1} =
+    -(2 m h^2/hbar^2) y_i^2 for D_i = z_i dz_{i+1}/dE - z_{i+1} dz_i/dE
+    (Cooley's corrector, Math. Comp. 15, 363 (1961), on the discrete
+    march).  So the angle between the tails turns at (2 m h^2/hbar^2)
+    (sum_{i<=im} a_i^2 + sum_{i>im} b_i^2) with a and b scaled to unit
+    tails, which is |dw/dE| wherever w vanishes.  The soft-edge seed terms
+    (weight e^{-2 int kappa}) and the factor 1/(c_im c_im+1) ~ 1 are
+    dropped.  The sums are taken in log form: a decaying solution can grow
+    past the float range before it reaches the matching point."""
+    left_log, left_sign = _samples(*left, log=True)
+    right_log, right_sign = (part[::-1] for part in _samples(*right, log=True))
+    # log of each tail's length, and each march's samples scaled by it
+    left_unit = left_log - 0.5 * np.logaddexp(*(2.0 * left_log[-2:]))
+    right_unit = right_log - 0.5 * np.logaddexp(*(2.0 * right_log[:2]))
+    weight = np.exp(2.0 * left_unit[:-1]).sum() + np.exp(2.0 * right_unit[1:]).sum()
+    cosine = np.dot(left_sign[-2:] * right_sign[:2], np.exp(left_unit[-2:] + right_unit[:2]))
+    slope = 2.0 * potential.mass * (grid.spacing / potential.hbar) ** 2 * weight
+    return float(slope), float(cosine), (left_log, left_sign), (right_log, right_sign)
 
 
 def _assemble_eigenfunction(grid: RealGrid, energy: float, index: int,
                             left, right) -> Wavefunction:
-    """Splice the two marches (ratios, y0, y1) of one sweep at ``energy``:
-    the left one ends at im+1, the right one at im.  Raise NodeCountMismatch
-    unless the result has ``index`` nodes."""
-    # Both halves in log form: a decaying solution can grow past the float
-    # range before it reaches the matching point.
-    left_log, left_sign = _samples(*left, log=True)
-    right_log, right_sign = (part[::-1] for part in _samples(*right, log=True))
+    """Splice the two marches of one sweep at ``energy``, given in grid order
+    as (log|y|, sign y): the left one ends at im+1, the right one starts at
+    im.  Raise NodeCountMismatch unless the result has ``index`` nodes."""
+    (left_log, left_sign), (right_log, right_sign) = left, right
     im = len(left_log) - 2
 
     # The two marches overlap on indices im and im+1.  A node of the true
@@ -535,25 +525,26 @@ def find_eigenvalues(
     """Bound states of a confining (or hard-wall) potential in an energy window.
 
     Each trial energy costs one sweep giving the count of levels below it
-    and a pole-free match, kept in one table shared by the window.  Level k
-    is first guessed from the action quantization (1/pi hbar) int p dq =
-    k + 1/2 (k + 1 between hard walls) over the sampled potential, solved
-    inside its count bracket.  The guess is shot, and so is a point 1e-4
-    mean level spacings beyond it on the side its count points to: when the
-    counts verify the guess the bracket is already tight, and a miss still
-    narrows it, so the counts alone decide every level.  Bisection on the
-    count then isolates level k, and Brent's method on the match polishes
-    it to a width of 1e-12 max(1, |E|), or to the energy resolution of the
-    Numerov coefficients where that is wider.  The potential is sampled
-    once per call and every sweep reads that sample; the eigenfunction of
-    level k is spliced from the marches of the polish sweep at the returned
-    energy (one more sweep only when the polish ends on a bracket end, which
-    no polish sweep visited).  Levels closer than float spacing or than
-    that energy resolution raise LevelsUnresolved (a tunnelling doublet the
-    grid cannot split), an eigenfunction without k nodes raises
-    NodeCountMismatch (the grid under-resolves it).  For soft
-    potentials only energies classically forbidden at both grid edges are
-    searchable; a window with no such level raises NoEigenvalueInRange.
+    and a pole-free match w, the counts kept in one table shared by the
+    window.  Level k starts from the action quantization (1/pi hbar) int p
+    dq = k + 1/2 (k + 1 between hard walls) over the sampled potential,
+    solved inside its count bracket (from the bracket's midpoint when the
+    action does not reach it there).  Each sweep then takes one Newton step
+    |w|/|dw/dE| toward the level, the way its count points (up at count k,
+    down at k + 1); the matching point stays where the first sweep counting
+    k or k + 1 put it.  A step off the count bracket, a count other than k
+    or k + 1, or a sweep nearer another root of w bisects the bracket
+    instead, so the counts alone decide every level.  The polish stops at
+    the sweep whose step is below half of 1e-12 max(1, |E|), or of the
+    energy resolution of the Numerov coefficients where that is wider, and
+    returns that sweep's energy.  The potential is sampled once per call and
+    every sweep reads that sample; the eigenfunction of level k is spliced
+    from the marches of that last sweep.  Levels closer than float spacing
+    or than that energy resolution raise LevelsUnresolved (a tunnelling
+    doublet the grid cannot split), an eigenfunction without k nodes raises
+    NodeCountMismatch (the grid under-resolves it).  For soft potentials
+    only energies classically forbidden at both grid edges are searchable;
+    a window with no such level raises NoEigenvalueInRange.
     The window's floor is raised to the potential's minimum on the grid,
     below which no level lies; a grid whose spacing there is at least
     sqrt(12) decay lengths (a Numerov coefficient <= 0) raises GridTooSmall.
@@ -588,60 +579,54 @@ def find_eigenvalues(
     resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
     doublet = ("two levels near E = %r lie closer than float spacing or than the grid's "
                f"energy resolution {resolution:.1e}; the grid cannot separate them")
-    # Every sweep reads the sampled v; the table keeps (count, match, im).
-    shots = {e: _shoot(potential, e, grid, v)[:3] for e in (e_lo, search_hi)}
-    k_lo, k_hi = shots[e_lo][0], shots[search_hi][0]
+    # Every sweep reads the sampled v; the table keeps each sweep's count.
+    counts = {e: _shoot(potential, e, grid, v)[0] for e in (e_lo, search_hi)}
+    k_lo, k_hi = counts[e_lo], counts[search_hi]
     if k_hi <= k_lo:
         raise NoEigenvalueInRange("no level inside the energy window")
 
     def bracket(k):
-        return (max(e for e, shot in shots.items() if shot[0] <= k),
-                min(e for e, shot in shots.items() if shot[0] > k))
+        return (max(e for e, count in counts.items() if count <= k),
+                min(e for e, count in counts.items() if count > k))
 
     energies, functions = [], []
     levels = range(k_lo, min(k_hi, k_lo + max_count))
     maslov = 1.0 if potential.hard_wall else 0.5  # level 0's action, in units of 2 pi hbar
     for k in levels:
-        # Shoot at the action-quantization guess and, on the side its count
-        # points to, a small step away: a hit leaves a verified tight bracket,
-        # a miss still narrows it.  The counts alone decide the level.
         lo, hi = bracket(k)
         guess = _action_guess(potential, v, grid, k + maslov, lo, hi)
-        if guess is not None and lo < guess < hi:
-            shots[guess] = _shoot(potential, guess, grid, v)[:3]
-            step = _GUESS_STEP * (hi - lo) / (shots[hi][0] - shots[lo][0])
-            side = {k: guess + step, k + 1: guess - step}.get(shots[guess][0])
-            if side is not None and lo < side < hi:
-                shots[side] = _shoot(potential, side, grid, v)[:3]
+        energy = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
+        im = None
         for _ in range(_LEVEL_MAX_ITER):
+            count, w, at, marches = _shoot(potential, energy, grid, v, im)
+            counts[energy] = count
             lo, hi = bracket(k)
-            if shots[lo][0] == k and shots[hi][0] == k + 1:
-                break
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                raise LevelsUnresolved(doublet % mid)
-            shots[mid] = _shoot(potential, mid, grid, v)[:3]
+            if count in (k, k + 1):
+                im = at  # unchanged once set: _shoot keeps a given im
+                slope, cosine, left, right = _match_slope(potential, grid, *marches)
+            # Level k lies above (count k) or below (count k + 1), within the
+            # count bracket.  Where it is the root of w nearest this sweep
+            # (the tails' cosine then has the sign (-1)^k it has at level k),
+            # it also lies within one Newton step |w|/|dw/dE|; there the
+            # sweep steps toward it, or stops once the step is below the
+            # polish tolerance.  Any other sweep bisects the count bracket.
+            if count in (k, k + 1) and (cosine > 0.0) == (k % 2 == 0):
+                step = min(hi - lo, abs(w) / slope)
+                if step <= 0.5 * max(_LEVEL_RTOL * max(1.0, abs(energy)), resolution):
+                    break
+                trial = energy + step if count == k else energy - step
+                if lo < trial < hi:
+                    energy = trial
+                    continue
+            energy = 0.5 * (lo + hi)
+            if not lo < energy < hi:
+                raise LevelsUnresolved(doublet % energy)
         else:
-            raise LevelsUnresolved(f"level {k} not isolated in {_LEVEL_MAX_ITER} steps")
-
-        # The polish keeps the marches of each of its sweeps, so the level's
-        # eigenfunction is spliced from the sweep that found it.
-        _, f_hi, im = shots[hi]
-        polish = {}
-
-        def match(e):
-            _, w, _, polish[e] = _shoot(potential, e, grid, v, im)
-            return w
-
-        f_lo = shots[lo][1] if shots[lo][2] == im else match(lo)
-        level = _brent(match, lo, hi, f_lo, f_hi,
-                       max(_LEVEL_RTOL * max(1.0, abs(lo), abs(hi)), resolution))
-        if energies and level - energies[-1] < resolution:
-            raise LevelsUnresolved(doublet % level)
-        if level not in polish:  # the polish ended on an end of the count bracket
-            match(level)
-        energies.append(level)
-        functions.append(_assemble_eigenfunction(grid, level, k, *polish[level]))
+            raise LevelsUnresolved(f"level {k} not polished in {_LEVEL_MAX_ITER} steps")
+        if energies and energy - energies[-1] < resolution:
+            raise LevelsUnresolved(doublet % energy)
+        energies.append(energy)
+        functions.append(_assemble_eigenfunction(grid, energy, k, left, right))
 
     return EigenResult(np.array(energies), tuple(levels), tuple(functions))
 

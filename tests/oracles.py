@@ -4,8 +4,9 @@ Every numeric expectation frozen into the test suite traces back to one of
 the helpers here: symbolic differentiation for Schwarzian-derivative
 values, 2x2 matrix algebra for fractional-linear composition, closed-form
 spectra and eigenfunctions for the built-in potentials, a full-sweep Numerov
-node count, the plain Numerov recurrence, brute-force path enumeration for
-amplitude networks, and trajectory time by central differences in energy.
+node count and the levels found by bisecting on it, the plain Numerov
+recurrence, brute-force path enumeration for amplitude networks, and
+trajectory time by central differences in energy.
 Only the last calls the library: it differences the library's reduced
 action at neighbouring energies, the route to t = dS0/dE that the closed
 form under test replaced.
@@ -91,6 +92,30 @@ def numerov_node_count(g: np.ndarray, h: float) -> int:
         if abs(cur) > 1e100:
             prev, cur = prev / abs(cur), cur / abs(cur)
     return int(nodes)
+
+
+def numerov_level_by_count_bisection(g_of_energy, h: float, index: int,
+                                     lo: float, hi: float) -> float:
+    """Energy at which the full-sweep node count of :func:`numerov_node_count`
+    steps from ``index`` to ``index + 1``, found by bisection inside [lo, hi]
+    until the bracket is two adjacent floats; ``g_of_energy(E)`` gives g on
+    the grid.  The upper end of that bracket is returned.
+
+    No match, slope or guess enters: only the sign changes of the textbook
+    march, so this referees where a shooting search puts level ``index``.
+    """
+    def nodes(energy):
+        return numerov_node_count(g_of_energy(energy), h)
+
+    if not nodes(lo) <= index < nodes(hi):
+        raise ValueError(f"[{lo!r}, {hi!r}] does not bracket level {index}")
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if nodes(mid) <= index:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def numerov_samples(g: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmkit.schrodinger1d as schrodinger1d
-from oracles import (harmonic_eigenfunction, harmonic_level, numerov_node_count,
-                     numerov_samples, well_eigenfunction, well_level)
+from oracles import (harmonic_eigenfunction, harmonic_level, numerov_level_by_count_bisection,
+                     numerov_node_count, numerov_samples, well_eigenfunction, well_level)
 from qmkit import (
     DegeneratePair,
     GridTooSmall,
@@ -396,10 +396,10 @@ def harmonic_to_forty():
     return _solve_counting_sweeps(Potential.harmonic(), (0.0, 40.0))
 
 
-def test_harmonic_window_costs_at_most_6_sweeps_per_level(harmonic_to_forty):
+def test_harmonic_window_costs_at_most_3_5_sweeps_per_level(harmonic_to_forty):
     result, per_level = harmonic_to_forty
     assert len(result.energies) == 40
-    assert per_level <= 6.0
+    assert per_level <= 3.5
 
 
 def test_harmonic_levels_to_forty_reach_method_accuracy(harmonic_to_forty):
@@ -408,10 +408,60 @@ def test_harmonic_levels_to_forty_reach_method_accuracy(harmonic_to_forty):
     assert np.abs(result.energies - expected).max() <= 1e-5
 
 
-def test_well_window_costs_at_most_5_sweeps_per_level():
+def test_well_window_costs_at_most_3_sweeps_per_level():
     result, per_level = _solve_counting_sweeps(Potential.infinite_well(1.0), (0.0, 2000.0))
     assert len(result.energies) == 20
-    assert per_level <= 5.0
+    assert per_level <= 3.0
+
+
+def _polish_tolerance(potential, grid, energies):
+    """max(1e-12 max(1, |E|), energy resolution of the Numerov coefficients)."""
+    resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
+    return np.maximum(1e-12 * np.maximum(1.0, np.abs(energies)), resolution)
+
+
+_TABLE_Q = np.linspace(-10.0, 10.0, 1201)
+_DOUBLE_Q = np.linspace(-5.0, 5.0, 2001)
+
+
+@pytest.mark.parametrize("potential, window, count", [
+    (Potential.harmonic(), (0.0, 200.0), 6),
+    (Potential.infinite_well(1.0), (0.0, 200.0), 6),
+    (Potential.tabulated(_TABLE_Q, 0.5 * _TABLE_Q**2), (0.0, 200.0), 6),
+    # Level 0 sits in the lower, left well, and the match is taken at the
+    # right well's outer turning point: there the level's tail is so small
+    # that w turns over by pi within float spacing, and sweeps just above
+    # the level see level 1 as the nearer root of w.
+    (Potential.tabulated(_DOUBLE_Q, (_DOUBLE_Q**2 - 4.0) ** 2 + 0.5 * _DOUBLE_Q), (-5.0, 30.0), 2),
+], ids=["harmonic", "well", "tabulated", "asymmetric-double-well"])
+def test_levels_match_the_count_bisection_oracle(potential, window, count):
+    grid = potential.default_grid()
+    v = potential.evaluate(grid.points())
+    result = find_eigenvalues(potential, window, count, grid)
+    assert result.node_counts == tuple(range(count))
+    oracle = [numerov_level_by_count_bisection(lambda e: 2.0 * (e - v), grid.spacing, k, *window)
+              for k in range(count)]
+    tolerance = _polish_tolerance(potential, grid, result.energies)
+    assert np.all(np.abs(result.energies - oracle) <= tolerance)
+
+
+@pytest.mark.parametrize("offset", [-1e-3, -1e-6, 1e-6, 1e-3])
+@pytest.mark.parametrize("potential, level", [(Potential.harmonic(), 2), (Potential.harmonic(), 30),
+                                              (Potential.infinite_well(1.0), 0),
+                                              (Potential.infinite_well(1.0), 1)],
+                         ids=["harmonic-2", "harmonic-30", "well-0", "well-1"])
+def test_newton_slope_matches_a_central_difference(potential, level, offset):
+    # The Newton step's |dw/dE| against (w(E + d) - w(E - d)) / 2d at the
+    # sweep's own matching index, near the level and a little away from it.
+    grid = potential.default_grid()
+    v = potential.evaluate(grid.points())
+    exact = harmonic_level(level) if potential.kind == "harmonic" else well_level(level + 1)
+    energy = exact + offset
+    _, _, im, marches = schrodinger1d._shoot(potential, energy, grid, v)
+    slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
+    w_hi, w_lo = (schrodinger1d._shoot(potential, energy + d, grid, v, im)[1]
+                  for d in (1e-5, -1e-5))
+    assert slope == pytest.approx(abs(w_hi - w_lo) / 2e-5, rel=0.05)
 
 
 @pytest.mark.parametrize("potential, window", [(Potential.harmonic(), (0.0, 40.0)),
