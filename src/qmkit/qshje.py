@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonMonotoneTime
-from .grids import RealGrid, SampledFunction
+from .grids import RealGrid, SampledFunction, fd1, fd2
 from .schrodinger1d import (Potential, SolutionPair, Wavefunction, _g_values, _launch,
                             solution_pair)
 from .schwarzian import _braces
@@ -82,15 +82,14 @@ class ReducedAction:
 class Trajectory:
     """Time-parametrized motion samples (t, q, p) with strictly rising t.
 
-    ``action`` is the reduced action at ``energy`` over the whole grid, when
-    the producer built one.
+    ``action`` is the reduced action at ``energy`` over the whole grid.
     """
 
     t: np.ndarray
     q: np.ndarray
     p: np.ndarray
     energy: float
-    action: ReducedAction | None = None
+    action: ReducedAction
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -147,14 +146,13 @@ def quantum_potential(action: ReducedAction) -> SampledFunction:
     """
     h = action.grid.spacing
     p = action.S0_prime
-    d2 = (p[2:] - p[:-2]) / (2.0 * h)
-    d3 = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)
     factor = action.hbar**2 / (4.0 * action.mass)
-    return SampledFunction(action.grid.interior(1), factor * _braces(p[1:-1], d2, d3))
+    return SampledFunction(action.grid.interior(1),
+                           factor * _braces(p[1:-1], fd1(p, h), fd2(p, h)))
 
 
-def _central_slice(n: int, fraction: float = 0.05) -> slice:
-    trim = int(math.floor(fraction * n))
+def _central_slice(n: int) -> slice:
+    trim = int(math.floor(0.05 * n))
     return slice(trim, n - trim)
 
 
@@ -248,69 +246,45 @@ _TAIL_ACTION = 3.0
 
 def _scan_grid(potential: Potential, energy: float,
                *, min_points: int = 4001) -> tuple[RealGrid, float, float]:
-    """Domain and resolution adapted to one energy and the potential's hbar.
+    """Grid and turning points (allowed-interval ends) for one energy at the
+    potential's hbar.
 
-    The domain covers the classically allowed interval plus forbidden tails
-    holding `_TAIL_ACTION` units of WKB action; the spacing resolves the local
-    oscillation length.  Returns the grid and the turning points
-    (allowed-interval ends).  The pair is marched outward from the centre,
-    so tail depth never sharpens interior values -- it only amplifies the
-    growing solution by e^(2*_TAIL_ACTION) and with it the roundoff in both
-    solutions, which is why the tails are kept shallow.
+    Hard walls give [0, L].  Otherwise the boxes are the table's range for a
+    tabulated potential and [-4, 4], [-8, 8], ..., [-64, 64] else, each
+    probed once at 16001 samples; the first whose two ends are classically
+    forbidden is used, and a potential confined in no box gets the first
+    box, unpadded.  Each turning point is padded outward to the first probe
+    sample where the trapezoid sum of kappa dq reaches `_TAIL_ACTION` (or to
+    the probe's end), at 80 samples per shortest wavelength.  The pair is
+    marched outward from the centre, so deeper tails would only amplify the
+    growing solution, by e^(2*_TAIL_ACTION), and with it the roundoff.
     """
     if potential.hard_wall:
-        grid = RealGrid(0.0, potential.length, min_points)
-        return grid, 0.0, potential.length
-
+        return RealGrid(0.0, potential.length, min_points), 0.0, potential.length
     if potential.kind == "tabulated":
-        box_lo, box_hi = float(potential.table_q[0]), float(potential.table_q[-1])
-        probe = np.linspace(box_lo, box_hi, 16001)
-        w = potential.evaluate(probe) - energy
-        if w[0] <= 0.0 or w[-1] <= 0.0:
-            grid = RealGrid(box_lo, box_hi, min_points)
-            return grid, box_lo, box_hi
+        boxes = [(float(potential.table_q[0]), float(potential.table_q[-1]))]
     else:
-        for candidate in (4.0, 8.0, 16.0, 32.0, 64.0):
-            probe = np.linspace(-candidate, candidate, 8001)
-            w = potential.evaluate(probe) - energy
-            if w[0] > 0.0 and w[-1] > 0.0:
-                box_lo, box_hi = -candidate, candidate
-                break
-        else:
-            # Not confining on any probe box (free-like): fixed window.
-            grid = RealGrid(-4.0, 4.0, min_points)
-            return grid, -4.0, 4.0
-        probe = np.linspace(box_lo, box_hi, 16001)
+        boxes = [(-size, size) for size in (4.0, 8.0, 16.0, 32.0, 64.0)]
+    for box in boxes:
+        probe = np.linspace(*box, 16001)
         w = potential.evaluate(probe) - energy
+        if w[0] > 0.0 and w[-1] > 0.0:
+            break
+    else:
+        return RealGrid(*boxes[0], min_points), *boxes[0]
 
     allowed = np.nonzero(w < 0.0)[0]
     if len(allowed) == 0:
         raise ValueError("energy lies below the potential minimum")
-    q_lo_t, q_hi_t = probe[allowed[0]], probe[allowed[-1]]
-
+    first, last = allowed[0], allowed[-1]  # in [1, n - 2]: the box ends are forbidden
     hbar, mass = potential.hbar, potential.mass
     kappa = np.sqrt(2.0 * mass * np.clip(w, 0.0, None)) / hbar
-    dq = probe[1] - probe[0]
-
-    def padded(start_index: int, step: int) -> float:
-        total = 0.0
-        i = start_index
-        while 0 < i < len(probe) - 1:
-            total += 0.5 * (kappa[i] + kappa[i + step]) * dq
-            i += step
-            if total >= _TAIL_ACTION:
-                break
-        return probe[i]
-
-    q_hi = padded(allowed[-1], +1)
-    q_lo = padded(allowed[0], -1)
-
-    p_max = math.sqrt(2.0 * mass * float(-w.min()))
-    wavelength = 2.0 * math.pi * hbar / p_max
-    spacing = wavelength / 80.0
-    n = int(math.ceil((q_hi - q_lo) / spacing)) + 1
-    n = min(max(n, min_points), 400001)
-    return RealGrid(float(q_lo), float(q_hi), n), float(q_lo_t), float(q_hi_t)
+    steps = 0.5 * (kappa[:-1] + kappa[1:]) * (probe[1] - probe[0])
+    lo = max(first - 1 - np.searchsorted(np.cumsum(steps[first - 1::-1]), _TAIL_ACTION), 0)
+    hi = min(last + 1 + np.searchsorted(np.cumsum(steps[last:]), _TAIL_ACTION), len(probe) - 1)
+    spacing = 2.0 * math.pi * hbar / math.sqrt(2.0 * mass * float(-w.min())) / 80.0
+    n = min(max(int(math.ceil((probe[hi] - probe[lo]) / spacing)) + 1, min_points), 400001)
+    return RealGrid(float(probe[lo]), float(probe[hi]), n), float(probe[first]), float(probe[last])
 
 
 def suggest_trajectory_grid(potential: Potential, energy: float) -> RealGrid:

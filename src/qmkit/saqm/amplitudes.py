@@ -218,24 +218,25 @@ def shuffled_network(
     )
 
 
+#: Exactly representable dyadic edge amplitudes of random networks.
+_AMPLITUDE_POOL = tuple(complex(a) for a in (1.0, -1.0, 1j, -1j, 0.5, -0.5, 0.5j, -0.5j))
+
+
 def random_series_parallel(
-    rng: np.random.Generator,
-    max_edges: int = 24,
-    amplitude_pool=(1.0, -1.0, 1j, -1j, 0.5, -0.5, 0.5j, -0.5j),
+    rng: np.random.Generator, max_edges: int = 24
 ) -> tuple[AmplitudeNetwork, complex]:
     """Random series-parallel network plus its algebraic amplitude.
 
     The expected amplitude comes from the generating expression tree
     (products for series, sums for parallel), which is independent of the
-    graph reduction used by compose_amplitudes.  Amplitudes default to a
+    graph reduction used by compose_amplitudes.  Amplitudes come from a
     pool of exactly representable dyadic values so structural errors are
     never masked by rounding.
     """
-    pool = [complex(a) for a in amplitude_pool]
 
     def build(budget: int) -> tuple[AmplitudeNetwork, complex]:
         if budget <= 1 or rng.random() < 0.3:
-            amp = pool[int(rng.integers(len(pool)))]
+            amp = _AMPLITUDE_POOL[int(rng.integers(len(_AMPLITUDE_POOL)))]
             return single_edge(amp), amp
         left_budget = int(rng.integers(1, budget))
         first, a1 = build(left_budget)

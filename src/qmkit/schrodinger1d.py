@@ -368,23 +368,12 @@ def _matching_index(v: np.ndarray, energy: float) -> int:
 
 
 def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid) -> float:
-    """Logarithmic-derivative mismatch of edge-decaying solutions.
-
-    Decaying solutions are propagated inward from both edges and their
-    logarithmic derivatives compared at the rightmost classical turning
-    point (grid midpoint when no turning point exists).  The mismatch is a
-    strictly decreasing function of energy between its poles and crosses
-    zero exactly at the bound-state energies.
-    """
-    v = potential.evaluate(grid.points())
-    c = _coefficients(potential, energy, grid, v)
-    im = _matching_index(v, energy)
-    seed_l, seed_r = _decay_seeds(potential, energy, grid, v)
-    # (y_{im+1} - y_{im-1}) / y_im on each side; the right march ends at im-1.
-    left = _ratios(c[: im + 2], *seed_l)
-    right = _ratios(c[im - 1 :][::-1], *seed_r)
-    return float(left[-1] - 1.0 / (left[-2] or 1e-300)
-                 - 1.0 / (right[-2] or 1e-300) + right[-1]) / (2.0 * grid.spacing)
+    """The match w of :func:`find_eigenvalues`'s sweep at ``energy``: the
+    Casoratian of the edge-decaying solutions (positive at their edges) at
+    the rightmost turning point (grid midpoint if none), both tails scaled to
+    unit length.  It is the sine of the angle between the tails, so it lies
+    in [-1, 1], has no poles, and vanishes exactly at the levels."""
+    return _shoot(potential, energy, grid)[1]
 
 
 def _end(ratios: np.ndarray) -> tuple[int, float, float]:
@@ -732,10 +721,10 @@ def solution_pair(potential: Potential, energy: float, grid: RealGrid) -> Soluti
     stationary identities.
     """
     h = grid.spacing
-    g = _g_values(potential, energy, potential.evaluate(grid.points()))
+    sampled = potential.evaluate(grid.points())
+    g = _g_values(potential, energy, sampled)
+    c = _coefficients(potential, energy, grid, sampled)
     i0, kappa, _ = _launch(g, grid)
-
-    c = 1.0 + (h * h / 12.0) * g
     u, v = (np.concatenate([_samples(_ratios(c[i0::-1], at, minus), at, minus)[:0:-1],
                             _samples(_ratios(c[i0:], at, plus), at, plus)])
             for at, (plus, minus) in ((1.0, _taylor_start(g, h, i0, 1.0, 0.0)),

@@ -5,8 +5,9 @@ the helpers here: symbolic differentiation for Schwarzian-derivative
 values, 2x2 matrix algebra for fractional-linear composition, closed-form
 spectra and eigenfunctions for the built-in potentials, a full-sweep Numerov
 node count and the levels found by bisecting on it, the plain Numerov
-recurrence, brute-force path enumeration for amplitude networks, and
-trajectory time by central differences in energy.
+recurrence, a sample-by-sample walk that picks the trajectory grid,
+brute-force path enumeration for amplitude networks, and trajectory time by
+central differences in energy.
 Only the last calls the library: it differences the library's reduced
 action at neighbouring energies, the route to t = dS0/dE that the closed
 form under test replaced.
@@ -126,6 +127,61 @@ def numerov_samples(g: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray
     for i in range(1, len(c) - 1):
         y.append(((12.0 - 10.0 * c[i]) * y[i] - c[i - 1] * y[i - 1]) / c[i + 1])
     return np.array(y)
+
+
+def scan_grid_by_walk(potential: Potential, energy: float,
+                      *, min_points: int = 4001) -> tuple[RealGrid, float, float]:
+    """The trajectory grid rule, walked one probe sample at a time.
+
+    The box is [0, L] between hard walls, the table's range for a tabulated
+    potential and the first of [-4, 4], ..., [-64, 64] (checked on 8001
+    samples) whose ends are classically forbidden otherwise; a potential
+    confined in none gets that first box, unpadded.  On a 16001-sample probe
+    of the box, each turning point is padded outward sample by sample until
+    the trapezoid sum of kappa = sqrt(2 m (V - E))/hbar reaches 3 (or the
+    probe ends), and the spacing is 1/80 of the shortest de Broglie
+    wavelength, with between ``min_points`` and 400001 points.  Returns the
+    grid and the turning points.
+    """
+    if potential.hard_wall:
+        return RealGrid(0.0, potential.length, min_points), 0.0, potential.length
+    if potential.kind == "tabulated":
+        box_lo, box_hi = float(potential.table_q[0]), float(potential.table_q[-1])
+        probe = np.linspace(box_lo, box_hi, 16001)
+        w = potential.evaluate(probe) - energy
+        if w[0] <= 0.0 or w[-1] <= 0.0:
+            return RealGrid(box_lo, box_hi, min_points), box_lo, box_hi
+    else:
+        for candidate in (4.0, 8.0, 16.0, 32.0, 64.0):
+            w = potential.evaluate(np.linspace(-candidate, candidate, 8001)) - energy
+            if w[0] > 0.0 and w[-1] > 0.0:
+                box_lo, box_hi = -candidate, candidate
+                break
+        else:
+            return RealGrid(-4.0, 4.0, min_points), -4.0, 4.0
+        probe = np.linspace(box_lo, box_hi, 16001)
+        w = potential.evaluate(probe) - energy
+
+    allowed = np.nonzero(w < 0.0)[0]
+    if len(allowed) == 0:
+        raise ValueError("energy lies below the potential minimum")
+    kappa = np.sqrt(2.0 * potential.mass * np.clip(w, 0.0, None)) / potential.hbar
+    dq = probe[1] - probe[0]
+
+    def padded(i: int, step: int) -> float:
+        total = 0.0
+        while 0 < i < len(probe) - 1:
+            total += 0.5 * (kappa[i] + kappa[i + step]) * dq
+            i += step
+            if total >= 3.0:
+                break
+        return probe[i]
+
+    q_lo, q_hi = padded(allowed[0], -1), padded(allowed[-1], +1)
+    wavelength = 2.0 * math.pi * potential.hbar / math.sqrt(2.0 * potential.mass * float(-w.min()))
+    n = min(max(int(math.ceil((q_hi - q_lo) / (wavelength / 80.0))) + 1, min_points), 400001)
+    return (RealGrid(float(q_lo), float(q_hi), n),
+            float(probe[allowed[0]]), float(probe[allowed[-1]]))
 
 
 def floyd_time_by_central_difference(potential: Potential, energy: float,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import math
 
 import numpy as np
@@ -28,14 +29,28 @@ from qmkit import (
     write_trajectory_csv,
 )
 from qmkit.errors import DegeneratePair, NonMonotoneTime
+from qmkit.qshje import _scan_grid
 
-from oracles import floyd_time_by_central_difference
+from oracles import floyd_time_by_central_difference, scan_grid_by_walk
 
 FREE_GRID = RealGrid(0.0, 10.0, 1001)
 HARMONIC_GRID = RealGrid(-4.0, 4.0, 80001)
 BIPOLAR_GRID = RealGrid(-4.0, 4.0, 4001)
 _QUARTIC_Q = np.linspace(-4.0, 4.0, 801)
 QUARTIC = Potential.tabulated(_QUARTIC_Q, 0.5 * _QUARTIC_Q**2 + 0.1 * _QUARTIC_Q**4)
+_TABLE_Q = np.linspace(-5.0, 5.0, 1201)
+
+# Potentials for the grid-rule oracle: confined in the first box or a later
+# one, confined in none (linear, free, and every table at E = 700), hard walls.
+SCAN_POTENTIALS = {
+    "harmonic": Potential.harmonic(),
+    "harmonic-m2-omega3": Potential.harmonic(mass=2.0, omega=3.0),
+    "linear": Potential.linear(),
+    "free": Potential.free(),
+    "well": Potential.infinite_well(1.0),
+    "tabulated-quartic": Potential.tabulated(_TABLE_Q, 0.5 * _TABLE_Q**2 + 0.1 * _TABLE_Q**4),
+    "tabulated-double-well": Potential.tabulated(_TABLE_Q, (_TABLE_Q**2 - 1.0) ** 2),
+}
 
 # Reference grids for the random-energy residual sweeps.  Windows are kept
 # shallow enough in the classically forbidden tails that the outward march
@@ -277,6 +292,23 @@ class TestClassicalLimitScan:
     def test_rows_echo_the_requested_hbar_sequence(self):
         rows = classical_limit_scan(Potential.harmonic(), 2.5, self.HBARS)
         assert [row.hbar for row in rows] == self.HBARS
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize("name", sorted(SCAN_POTENTIALS))
+    def test_grid_matches_the_walk_oracle(self, name):
+        for energy, hbar, min_points in itertools.product(
+                (0.3, 2.7, 30.0, 700.0), (0.02, 0.3, 1.0), (4001, 40001)):
+            potential = dataclasses.replace(SCAN_POTENTIALS[name], hbar=hbar)
+            expected = scan_grid_by_walk(potential, energy, min_points=min_points)
+            assert _scan_grid(potential, energy, min_points=min_points) == expected, \
+                (energy, hbar, min_points)
+
+    @pytest.mark.parametrize("name", ["harmonic", "tabulated-double-well"])
+    def test_energy_below_the_minimum_is_rejected(self, name):
+        for rule in (_scan_grid, scan_grid_by_walk):
+            with pytest.raises(ValueError, match="below the potential minimum"):
+                rule(SCAN_POTENTIALS[name], -0.5)
 
 
 class TestCsvExports:

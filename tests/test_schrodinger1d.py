@@ -216,6 +216,13 @@ def test_mismatch_vanishes_at_well_ground_level():
     assert abs(shoot_mismatch(Potential.infinite_well(1.0), energy, WELL_GRID)) < 1e-8
 
 
+def test_mismatch_is_bounded_between_levels():
+    # The match is the sine of an angle: no pole anywhere in the window.
+    values = [shoot_mismatch(Potential.harmonic(), energy, HARMONIC_GRID)
+              for energy in np.linspace(0.01, 9.9, 991)]
+    assert max(abs(w) for w in values) <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # find_eigenvalues
 
