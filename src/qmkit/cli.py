@@ -231,9 +231,6 @@ def cmd_spectrum(
     except NoEigenvalueInRange as exc:
         print(f"no levels: {exc}", file=sys.stderr)
         return _EXIT_EMPTY
-    except (GridTooSmall, NodeCountMismatch) as exc:
-        print(f"error: {exc}; try a finer --grid qmin:qmax:n", file=sys.stderr)
-        return _EXIT_USAGE
     if config.output_format == "json":
         payload = json.dumps(
             {
@@ -476,6 +473,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "trajectory":
             return cmd_trajectory(config, args.potential, args.energy)
         return cmd_audit(config, args.suite)
+    except (GridTooSmall, NodeCountMismatch) as exc:  # from a spectrum or trajectory grid
+        print(f"error: {exc}; try a finer --grid qmin:qmax:n", file=sys.stderr)
+        return _EXIT_USAGE
     except (_UsageError, ValueError, QmkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -2,20 +2,22 @@
 
 The second-order equation psi'' = -g(q) psi with g = 2 m (E - V)/hbar^2 is
 integrated by the Numerov three-term recurrence (sixth-order local error),
-marched in ratio form y_{i+1}/y_i: no march overflows, and every node is
-one negative ratio.  Bound states of confining potentials are located by
-shooting: one sweep of decaying solutions inward from both edges to the
-rightmost turning point yields the number of levels below the trial energy
-(a Sturm count) and a pole-free match.  Each level starts from the
-classical action quantization (1/pi hbar) int p dq = n + 1/2 and is
-polished by Newton steps on the match, whose energy derivative the sweep
-itself yields (Cooley's corrector on the Numerov recurrence); the Sturm
-count sets each step's direction and bisects wherever a step would leave
-the level's count bracket.  Every sweep of one search reads the potential
-sampled once on the grid, and each level's eigenfunction is spliced from
-the two marches of the sweep that ended its polish, with no further
-march.  The module also builds the canonical solution pairs that the
-reduced-action reconstruction consumes.
+marched in ratio form on z_i = c_i y_i with one subtraction and one
+division per grid point, and handed on as the ratios y_{i+1}/y_i: no march
+overflows, and every node is one negative ratio.  Bound states of
+confining potentials are located by shooting: one sweep of decaying
+solutions inward from both edges to the rightmost turning point yields the
+number of levels below the trial energy (a Sturm count) and a pole-free
+match.  Each level starts from the classical action quantization
+(1/pi hbar) int p dq = n + 1/2 and is polished by Newton steps on the
+match, whose energy derivative the sweep itself yields (Cooley's
+corrector on the Numerov recurrence); the Sturm count sets each step's
+direction and bisects wherever a step would leave the level's count
+bracket.  Every sweep of one search reads the potential sampled once on
+the grid, and each level's eigenfunction is spliced from the two marches
+of the sweep that ended its polish, with no further march.  The module
+also builds the canonical solution pairs that the reduced-action
+reconstruction consumes.
 """
 
 from __future__ import annotations
@@ -270,32 +272,51 @@ def _ratios(c: np.ndarray, y0: float, y1: float) -> np.ndarray:
     """Ratios r_i = y_{i+1}/y_i of the Numerov solution seeded by (y0, y1),
     as one float array.
 
-    The recurrence c_{i+1} y_{i+1} = (12 - 10 c_i) y_i - c_{i-1} y_{i-1}
-    becomes r_i = ((12 - 10 c_i) - c_{i-1}/r_{i-1}) / c_{i+1} (Johnson,
-    J. Chem. Phys. 69, 4678 (1978)): it cannot overflow, and every sign
-    change of the solution is one negative ratio.  A zero seed y0 gives
-    r_0 = inf.  An exact zero sample y_{k+1} = 0 is stored as r_k = 0
-    followed by the two-step ratio y_{k+2}/y_k = -c_k/c_{k+2}.  The
+    The recurrence c_{i+1} y_{i+1} = (12 - 10 c_i) y_i - c_{i-1} y_{i-1} is
+    marched in z_i = c_i y_i, where it reads z_{i+1} + z_{i-1} = D_i z_i
+    with D_i = (12 - 10 c_i)/c_i; its numerator is the plain recurrence's
+    own float, so an exact zero there is one here.  The ratios rho_i =
+    z_{i+1}/z_i obey rho_i = D_i - 1/rho_{i-1}, one subtraction and one
+    division per point (Johnson's ratio form, J. Chem. Phys. 69, 4678
+    (1978)), and one array product r_i = rho_i c_i/c_{i+1} turns them into
+    y-ratios.  The march cannot overflow, and every sign change of the
+    solution is one negative ratio.  A zero seed y0 gives r_0 = inf.  An
+    exact zero sample y_{k+1} = 0 is stored as r_k = 0 followed by the
+    two-step ratio y_{k+2}/y_k = -c_k/c_{k+2} (z_{k+2} = -z_k).  The
     shooting sweeps keep these arrays: an eigenfunction is rebuilt from the
-    sweep that ended its level's Newton polish, without marching again.
+    sweep that ended its level's Newton polish, without marching again.  A
+    coefficient c_i <= 0 (a spacing of at least sqrt(12) decay lengths)
+    raises GridTooSmall.
     """
-    coeff = c.tolist()
+    if c.min() <= 0.0:
+        raise GridTooSmall(f"a Numerov coefficient 1 + h^2 g/12 is {float(c.min()):.3g} <= 0: "
+                           "the grid spacing is at least sqrt(12) decay lengths where the "
+                           "energy is forbidden")
     first = y1 / y0 if y0 else math.inf
-    return np.fromiter(_ratio_steps(coeff, (12.0 - 10.0 * c).tolist(), first), float,
-                       len(coeff) - 1)
+    shift = c[:-1] / c[1:]
+    diag = (12.0 - 10.0 * c[1:-1]) / c[1:-1]
+    # float(): a numpy-scalar zero would divide with a warning, not raise.
+    rho = np.fromiter(_ratio_steps(diag.tolist(), float(first / shift[0])), float, len(c) - 1)
+    ratios = rho * shift
+    ratios[0] = first  # the seed's own ratio, not its round trip through c
+    zero = np.flatnonzero(rho[:-1] == 0.0)  # each is bridged by the next ratio
+    ratios[zero + 1] = -c[zero] / c[zero + 2]
+    return ratios
 
 
-def _ratio_steps(coeff: list[float], diag: list[float], r: float):
-    """The ratios of :func:`_ratios`, one plain-float step at a time."""
-    yield r
-    for d, cp, cn in zip(diag[1:-1], coeff, coeff[2:]):
+def _ratio_steps(diag: list[float], rho: float):
+    """The z-ratios rho of :func:`_ratios`, one plain-float step at a time;
+    after a zero the two-step ratio -1 is yielded and the march goes on
+    from 1/0."""
+    yield rho
+    for d in diag:
         try:
-            r = (d - cp / r) / cn
-        except ZeroDivisionError:  # r = 0: bridge the zero sample, go on from 1/0
-            yield -cp / cn
-            r = math.inf
+            rho = d - 1.0 / rho
+        except ZeroDivisionError:  # rho = 0: z_{k+2} = -z_k, then z_{k+2}/z_{k+1} = inf
+            yield -1.0
+            rho = math.inf
             continue
-        yield r
+        yield rho
 
 
 def _samples(ratios: np.ndarray, y0: float, y1: float, log: bool = False):

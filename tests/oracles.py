@@ -5,7 +5,8 @@ the helpers here: symbolic differentiation for Schwarzian-derivative
 values, 2x2 matrix algebra for fractional-linear composition, closed-form
 spectra and eigenfunctions for the built-in potentials, a full-sweep Numerov
 node count and the levels found by bisecting on it, the plain Numerov
-recurrence, a sample-by-sample walk that picks the trajectory grid,
+recurrence (in float or long double), the Matrix Numerov spectrum of one
+dense eigensolve, a sample-by-sample walk that picks the trajectory grid,
 brute-force path enumeration for amplitude networks, and trajectory time by
 central differences in energy.
 Only the last calls the library: it differences the library's reduced
@@ -122,11 +123,38 @@ def numerov_level_by_count_bisection(g_of_energy, h: float, index: int,
 def numerov_samples(g: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     """Samples of the Numerov solution of psi'' = -g psi seeded by (y0, y1),
     marched by the plain three-term recurrence with no rescaling."""
-    c = (1.0 + h * h * np.asarray(g, dtype=float) / 12.0).tolist()
-    y = [y0, y1]
+    return numerov_recurrence(1.0 + h * h * np.asarray(g, dtype=float) / 12.0, y0, y1)
+
+
+def numerov_recurrence(c: np.ndarray, y0: float, y1: float, dtype=float) -> np.ndarray:
+    """The plain recurrence c_{i+1} y_{i+1} = (12 - 10 c_i) y_i - c_{i-1} y_{i-1}
+    over the coefficients ``c``, seeded by (y0, y1) and run in ``dtype``
+    (np.longdouble gives a reference for float roundoff), as float samples."""
+    c = [dtype(value) for value in np.asarray(c, dtype=float).tolist()]
+    twelve, ten = dtype(12.0), dtype(10.0)
+    y = [dtype(y0), dtype(y1)]
     for i in range(1, len(c) - 1):
-        y.append(((12.0 - 10.0 * c[i]) * y[i] - c[i - 1] * y[i - 1]) / c[i + 1])
-    return np.array(y)
+        y.append(((twelve - ten * c[i]) * y[i] - c[i - 1] * y[i - 1]) / c[i + 1])
+    return np.array(y, dtype=dtype).astype(float)
+
+
+def matrix_numerov_levels(v: np.ndarray, h: float) -> np.ndarray:
+    """Eigenvalues of the Matrix Numerov Hamiltonian -(1/2) B^-1 A + diag V
+    (hbar = m = 1) over the potential ``v`` sampled on a grid of spacing
+    ``h``, on its interior points with psi = 0 at both ends (Pillai, Goglio
+    & Walker, Am. J. Phys. 80, 1017 (2012)), in ascending order.
+
+    A = (1, -2, 1)/h^2 and B = (1, 10, 1)/12 are the Numerov stencils.  No
+    march enters: one dense eigensolve referees the shooting search on the
+    same discretization.  A and B are polynomials in one shift matrix, so
+    they commute and B^-1 A is symmetric up to roundoff.
+    """
+    n = len(v) - 2
+    shift = np.eye(n, k=1) + np.eye(n, k=-1)
+    a = (shift - 2.0 * np.eye(n)) / (h * h)
+    b = (shift + 10.0 * np.eye(n)) / 12.0
+    kinetic = -0.5 * np.linalg.solve(b, a)
+    return np.linalg.eigvalsh(0.5 * (kinetic + kinetic.T) + np.diag(v[1:-1]))
 
 
 def scan_grid_by_walk(potential: Potential, energy: float,

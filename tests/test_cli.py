@@ -331,6 +331,17 @@ class TestTrajectory:
         assert out == ""
         assert "must be finite" in err
 
+    def test_non_positive_numerov_coefficient_is_an_input_error(self, capsys):
+        # h = 1 and V - E = 10 at q = 10 give c = 1 - 20/12 < 0 (and c = 0 at q = 6).
+        code, out, err = run(
+            capsys, "trajectory", "--potential", "linear", "--energy", "0",
+            "--grid=-10:10:21",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "try a finer --grid" in err
+
 
 class TestAudit:
     @pytest.mark.parametrize("suite", ["schwarzian", "tomography", "counting", "amplitudes"])

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmkit.schrodinger1d as schrodinger1d
-from oracles import (harmonic_eigenfunction, harmonic_level, numerov_level_by_count_bisection,
-                     numerov_node_count, numerov_samples, well_eigenfunction, well_level)
+from oracles import (harmonic_eigenfunction, harmonic_level, matrix_numerov_levels,
+                     numerov_level_by_count_bisection, numerov_node_count, numerov_recurrence,
+                     numerov_samples, well_eigenfunction, well_level)
 from qmkit import (
     DegeneratePair,
     GridTooSmall,
@@ -197,6 +198,35 @@ def test_integration_matches_the_plain_recurrence(potential, energy, grid, seed)
     g = 2.0 * (energy - potential.evaluate(grid.points()))
     expected = numerov_samples(g, grid.spacing, *seed)
     assert np.abs(wave.values - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is plain double on this platform")
+@pytest.mark.parametrize("energy", [0.77, 1.3, 1.9, 3.4])
+@pytest.mark.parametrize("grid, start, bound", [
+    (RealGrid(-3.299, 3.299, 40001), 20000, 5e-9),  # the centre-out half of a trajectory grid
+    (HARMONIC_GRID, 0, 2e-11),
+], ids=["half-40001", "full-4001"])
+def test_march_roundoff_against_a_long_double_recurrence(grid, start, bound, energy):
+    # Both runs read the same float coefficients, so the difference is the
+    # float march's own roundoff.  The energies lie off the levels, where
+    # a march is well conditioned.
+    potential = Potential.harmonic()
+    c = schrodinger1d._coefficients(potential, energy, grid,
+                                    potential.evaluate(grid.points()))[start:]
+    for seed in ((0.0, grid.spacing), (1.0, 1.0)):
+        values = schrodinger1d._samples(schrodinger1d._ratios(c, *seed), *seed)
+        expected = numerov_recurrence(c, *seed, dtype=np.longdouble)
+        assert np.abs(values - expected).max() <= bound * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("grid", [RealGrid(0.0, 10.0, 11), RealGrid(-10.0, 10.0, 21)])
+def test_non_positive_numerov_coefficient_raises_grid_too_small(grid):
+    # h = 1 and V - E = q on the ramp give c = 1 - q/6: zero at q = 6, negative past it.
+    with pytest.raises(GridTooSmall, match="coefficient"):
+        numerov_integrate(Potential.linear(), 0.0, grid)
+    with pytest.raises(GridTooSmall, match="coefficient"):
+        solution_pair(Potential.linear(), 0.0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +479,22 @@ def test_levels_match_the_count_bisection_oracle(potential, window, count):
     oracle = [numerov_level_by_count_bisection(lambda e: 2.0 * (e - v), grid.spacing, k, *window)
               for k in range(count)]
     tolerance = _polish_tolerance(potential, grid, result.energies)
+    assert np.all(np.abs(result.energies - oracle) <= tolerance)
+
+
+def test_levels_match_the_matrix_numerov_oracle():
+    # One dense eigensolve of the same discretization, with no march: the
+    # asymmetric double well (q^2 - 4)^2 + q/2, tabulated, up to E = 40.
+    q = np.linspace(-6.0, 6.0, 801)
+    potential = Potential.tabulated(q, (q * q - 4.0) ** 2 + 0.5 * q)
+    grid = RealGrid(-6.0, 6.0, 801)
+    levels = matrix_numerov_levels(potential.evaluate(grid.points()), grid.spacing)
+    oracle = levels[(levels > -5.0) & (levels < 40.0)]
+    result = find_eigenvalues(potential, (-5.0, 40.0), 100, grid)
+    assert len(result.energies) == len(oracle) == 16
+    # The oracle's own roundoff is a few eps times the matrix norm.
+    tolerance = (_polish_tolerance(potential, grid, result.energies)
+                 + 4.0 * np.finfo(float).eps * np.abs(levels).max())
     assert np.all(np.abs(result.energies - oracle) <= tolerance)
 
 
