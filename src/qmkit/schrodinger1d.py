@@ -13,11 +13,15 @@ match.  Each level starts from the classical action quantization
 match, whose energy derivative the sweep itself yields (Cooley's
 corrector on the Numerov recurrence); the Sturm count sets each step's
 direction and bisects wherever a step would leave the level's count
-bracket.  Every sweep of one search reads the potential sampled once on
-the grid, and each level's eigenfunction is spliced from the two marches
-of the sweep that ended its polish, with no further march.  The module
-also builds the canonical solution pairs that the reduced-action
-reconstruction consumes.
+bracket.  Newton converges quadratically there, so two Newton sweeps in a
+row predict the step after them; where that predicted step passes the
+stop test, the polish ends on the second sweep's trial energy without
+sweeping it.  Every sweep of one search reads the potential sampled once
+on the grid, and each level's eigenfunction is spliced from the two
+marches of its last sweep, or, at an unswept trial, from the marches of
+its last two sweeps extrapolated linearly in energy to it, with no
+further march.  The module also builds the canonical solution pairs that
+the reduced-action reconstruction consumes.
 """
 
 from __future__ import annotations
@@ -284,7 +288,7 @@ def _ratios(c: np.ndarray, y0: float, y1: float) -> np.ndarray:
     exact zero sample y_{k+1} = 0 is stored as r_k = 0 followed by the
     two-step ratio y_{k+2}/y_k = -c_k/c_{k+2} (z_{k+2} = -z_k).  The
     shooting sweeps keep these arrays: an eigenfunction is rebuilt from the
-    sweep that ended its level's Newton polish, without marching again.  A
+    last sweeps of its level's Newton polish, without marching again.  A
     coefficient c_i <= 0 (a spacing of at least sqrt(12) decay lengths)
     raises GridTooSmall.
     """
@@ -492,11 +496,26 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     return float(slope), float(cosine), (left_log, left_sign), (right_log, right_sign)
 
 
+def _extrapolated(march, previous, t: float):
+    """The march y + t (y - y_prev) in log form, from two marches (log|y|,
+    sign y) of one sweep side at nearby energies: linear in energy, so
+    t = (E - E_now)/(E_now - E_prev) gives the march at E to first order.
+    Each sample pair is combined on its own common scale, so no dynamic
+    range of the marches overflows or underflows."""
+    (log, sign), (log_prev, sign_prev) = march, previous
+    scale = np.maximum(log, log_prev)
+    scale[scale == -np.inf] = 0.0  # an exact zero sample in both marches
+    values = (1.0 + t) * sign * np.exp(log - scale) - t * sign_prev * np.exp(log_prev - scale)
+    with np.errstate(divide="ignore"):
+        return scale + np.log(np.abs(values)), np.sign(values)
+
+
 def _assemble_eigenfunction(grid: RealGrid, energy: float, index: int,
                             left, right) -> Wavefunction:
-    """Splice the two marches of one sweep at ``energy``, given in grid order
-    as (log|y|, sign y): the left one ends at im+1, the right one starts at
-    im.  Raise NodeCountMismatch unless the result has ``index`` nodes."""
+    """Splice the two marches at ``energy`` (of one sweep, or extrapolated
+    to it from two), given in grid order as (log|y|, sign y): the left one
+    ends at im+1, the right one starts at im.  Raise NodeCountMismatch
+    unless the result has ``index`` nodes."""
     (left_log, left_sign), (right_log, right_sign) = left, right
     im = len(left_log) - 2
 
@@ -547,14 +566,24 @@ def find_eigenvalues(
     instead, so the counts alone decide every level.  The polish stops at
     the sweep whose step is below half of 1e-12 max(1, |E|), or of the
     energy resolution of the Numerov coefficients where that is wider, and
-    returns that sweep's energy.  The potential is sampled once per call and
-    every sweep reads that sample; the eigenfunction of level k is spliced
-    from the marches of that last sweep.  Levels closer than float spacing
-    or than that energy resolution raise LevelsUnresolved (a tunnelling
-    doublet the grid cannot split), an eigenfunction without k nodes raises
-    NodeCountMismatch (the grid under-resolves it).  For soft potentials
-    only energies classically forbidden at both grid edges are searchable;
-    a window with no such level raises NoEigenvalueInRange.
+    returns that sweep's energy.  It also stops one sweep earlier, on the
+    trial E +/- s of a Newton sweep with step s that follows another with
+    step s_prev (no bisection between them), when the contraction rate
+    r = max(s/s_prev, |secant - slope|/slope) is at most 1/2 and the
+    predicted next step r s passes that stop test.  The secant is w's
+    through the two sweeps, so a slope that misjudges w (a doublet's fast
+    turn, the dropped seed terms) forbids the prediction.  That trial, the
+    energy a confirming sweep would have run at, lies inside the count
+    bracket and is returned unswept.  The potential is sampled once per
+    call and every sweep reads that sample; the eigenfunction of level k is
+    spliced from the marches of its last sweep, or, at an unswept trial,
+    from those of its last two sweeps extrapolated linearly in energy to
+    the trial.  Levels closer than float spacing or than that energy
+    resolution raise LevelsUnresolved (a tunnelling doublet the grid cannot
+    split), an eigenfunction without k nodes raises NodeCountMismatch (the
+    grid under-resolves it).  For soft potentials only energies classically
+    forbidden at both grid edges are searchable; a window with no such level
+    raises NoEigenvalueInRange.
     The window's floor is raised to the potential's minimum on the grid,
     below which no level lies; a grid whose spacing there is at least
     sqrt(12) decay lengths (a Numerov coefficient <= 0) raises GridTooSmall.
@@ -606,7 +635,7 @@ def find_eigenvalues(
         lo, hi = bracket(k)
         guess = _action_guess(potential, v, grid, k + maslov, lo, hi)
         energy = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
-        im = None
+        im = last = None  # last: (energy, w, step, marches) of the last Newton sweep
         for _ in range(_LEVEL_MAX_ITER):
             count, w, at, marches = _shoot(potential, energy, grid, v, im)
             counts[energy] = count
@@ -622,13 +651,31 @@ def find_eigenvalues(
             # polish tolerance.  Any other sweep bisects the count bracket.
             if count in (k, k + 1) and (cosine > 0.0) == (k % 2 == 0):
                 step = min(hi - lo, abs(w) / slope)
-                if step <= 0.5 * max(_LEVEL_RTOL * max(1.0, abs(energy)), resolution):
+                tolerance = 0.5 * max(_LEVEL_RTOL * max(1.0, abs(energy)), resolution)
+                if step <= tolerance:
                     break
                 trial = energy + step if count == k else energy - step
                 if lo < trial < hi:
-                    energy = trial
+                    # Two Newton sweeps in a row predict the next step: this
+                    # one times the larger of the steps' ratio and the
+                    # slope's misfit to the secant of w through both sweeps.
+                    # Where that rate is at most 1/2 and the predicted step
+                    # passes the stop test, the polish ends at the trial
+                    # without sweeping it, its marches extrapolated linearly
+                    # in energy from the two sweeps.
+                    if last:
+                        last_energy, last_w, last_step, last_marches = last
+                        secant = abs(w - last_w) / abs(energy - last_energy)
+                        rate = max(step / last_step, abs(secant - slope) / slope)
+                        if rate <= 0.5 and rate * step <= tolerance:
+                            t = (trial - energy) / (energy - last_energy)
+                            left, right = (_extrapolated(now, then, t)
+                                           for now, then in zip((left, right), last_marches))
+                            energy = trial
+                            break
+                    last, energy = (energy, w, step, (left, right)), trial
                     continue
-            energy = 0.5 * (lo + hi)
+            last, energy = None, 0.5 * (lo + hi)
             if not lo < energy < hi:
                 raise LevelsUnresolved(doublet % energy)
         else:
