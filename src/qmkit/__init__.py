@@ -9,7 +9,8 @@ outcome-predictors and checks the algebra that forces squared moduli,
 complex amplitudes, and unbiased-basis tomography.
 """
 
-from . import saqm
+import importlib
+
 from .errors import (
     ArgumentOutOfRange,
     DegeneratePair,
@@ -30,33 +31,10 @@ from .errors import (
     UnsupportedDimension,
 )
 from .grids import RealGrid, SampledFunction, sample
-from .qshje import (
-    ReducedAction,
-    ScanRow,
-    Trajectory,
-    bipolar_reconstruct,
-    classical_limit_scan,
-    floyd_trajectory,
-    quantum_potential,
-    qshje_residual,
-    reduced_action_from_pair,
-    suggest_trajectory_grid,
-    write_residual_csv,
-    write_trajectory_csv,
-)
-from .schrodinger1d import (
-    EigenResult,
-    Potential,
-    SolutionPair,
-    Wavefunction,
-    find_eigenvalues,
-    load_potential_table,
-    numerov_integrate,
-    pair_from_wavefunctions,
-    shoot_mismatch,
-    solution_pair,
-    wronskian_profile,
-)
+
+# Eager: the function qmkit.schwarzian shares its name with its submodule,
+# and only an import of the submodule that runs before this rebinding
+# leaves the function in place.
 from .schwarzian import (
     MoebiusMap,
     apply_moebius,
@@ -65,6 +43,29 @@ from .schwarzian import (
     schwarzian,
     transform_W,
 )
+
+#: Names resolved on first use (PEP 562), so ``import qmkit`` loads no
+#: solver layer.  They are looked up on every access, not stored here: a
+#: name rebound in its own module is seen through the package as well.
+_LAZY = {
+    **dict.fromkeys(("ReducedAction", "ScanRow", "Trajectory", "bipolar_reconstruct",
+                     "classical_limit_scan", "floyd_trajectory", "quantum_potential",
+                     "qshje_residual", "reduced_action_from_pair", "suggest_trajectory_grid",
+                     "write_residual_csv", "write_trajectory_csv"), ".qshje"),
+    **dict.fromkeys(("EigenResult", "Potential", "SolutionPair", "Wavefunction",
+                     "find_eigenvalues", "load_potential_table", "numerov_integrate",
+                     "pair_from_wavefunctions", "shoot_mismatch", "solution_pair",
+                     "wronskian_profile"), ".schrodinger1d"),
+}
+
+
+def __getattr__(name):
+    if name == "saqm":
+        return importlib.import_module(".saqm", __name__)
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name], __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -12,34 +12,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .errors import (GridTooSmall, NegativeEigenvalue, NodeCountMismatch, NoEigenvalueInRange,
                      QmkitError)
 from .grids import RealGrid, SampledFunction
-from .qshje import floyd_trajectory, qshje_residual, suggest_trajectory_grid, write_trajectory_csv
-from .schrodinger1d import Potential, find_eigenvalues, load_potential_table
 from .schwarzian import MoebiusMap, cocycle_deviation, moebius_invariance_deviation, schwarzian
-from .saqm import (
-    ProbabilityTable,
-    compose_amplitudes,
-    density_from_table,
-    hardy_counts,
-    mub_set,
-    no_signalling_check,
-    parallel_network,
-    random_density,
-    random_series_parallel,
-    real_space_violation,
-    reverse_amplitude,
-    series_network,
-    shuffled_network,
-    single_edge,
-    table_from_density,
-    wootters_g_identity,
-)
+
+# schrodinger1d, qshje and saqm are imported by the commands that use them,
+# so a process pays only for the layers its subcommand runs.
+if TYPE_CHECKING:
+    from .schrodinger1d import Potential
 
 __all__ = ["RunConfig", "main", "cmd_spectrum", "cmd_trajectory", "cmd_audit"]
 
@@ -186,6 +171,8 @@ def _parse_params(text: str, allowed: dict[str, float]) -> dict[str, float]:
 def parse_potential(text: str) -> Potential:
     """Mini-grammar: harmonic[:m=..,w=..], well:L=.., linear:a=..,
     table:PATH, free."""
+    from .schrodinger1d import Potential, load_potential_table
+
     kind, _, rest = text.partition(":")
     try:
         if kind == "harmonic":
@@ -222,6 +209,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_spectrum(
     config: RunConfig, potential_text: str, range_text: str, count: int
 ) -> int:
+    from .schrodinger1d import find_eigenvalues
+
     potential = parse_potential(potential_text)
     e_range = _parse_range(range_text)
     if count < 1:
@@ -249,6 +238,9 @@ def cmd_spectrum(
 
 
 def cmd_trajectory(config: RunConfig, potential_text: str, energy: float) -> int:
+    from .qshje import (floyd_trajectory, qshje_residual, suggest_trajectory_grid,
+                        write_trajectory_csv)
+
     potential = parse_potential(potential_text)
     if not math.isfinite(energy):
         raise _UsageError("--energy must be finite")
@@ -346,6 +338,9 @@ def _audit_schwarzian(config: RunConfig, rng: np.random.Generator) -> list:
 
 
 def _audit_tomography(config: RunConfig, rng: np.random.Generator) -> list:
+    from .saqm import (ProbabilityTable, density_from_table, mub_set, no_signalling_check,
+                       random_density, table_from_density)
+
     tol = config.tolerances
     mubs = {n: mub_set(n) for n in (2, 3, 5)}
 
@@ -386,6 +381,8 @@ def _audit_tomography(config: RunConfig, rng: np.random.Generator) -> list:
 def _audit_counting(config: RunConfig, rng: np.random.Generator) -> list:
     """Exact checks with tolerance 0: each deviation counts broken
     identities, except the g identity's, which is its largest integer defect."""
+    from .saqm import hardy_counts, real_space_violation, wootters_g_identity
+
     checks = []
     for (n1, n2), joint, product in (((2, 2), 10, 9), ((2, 3), 21, 18)):
         v = real_space_violation(n1, n2)
@@ -406,6 +403,9 @@ def _audit_counting(config: RunConfig, rng: np.random.Generator) -> list:
 
 
 def _audit_amplitudes(config: RunConfig, rng: np.random.Generator) -> list:
+    from .saqm import (compose_amplitudes, parallel_network, random_series_parallel,
+                       reverse_amplitude, series_network, shuffled_network, single_edge)
+
     tol = config.tolerances
 
     worst_tree = 0.0

@@ -268,13 +268,21 @@ def _g_values(potential: Potential, energy: float, v: np.ndarray) -> np.ndarray:
 
 def _coefficients(potential: Potential, energy: float, grid: RealGrid,
                   v: np.ndarray) -> np.ndarray:
-    """Numerov coefficients c_i = 1 + h^2 g_i / 12 over the sampled potential."""
-    return 1.0 + (grid.spacing**2 / 12.0) * _g_values(potential, energy, v)
+    """Numerov coefficients c_i = 1 + h^2 g_i / 12 over the sampled potential.
+    A coefficient c_i <= 0 (a spacing of at least sqrt(12) decay lengths)
+    raises GridTooSmall."""
+    c = 1.0 + grid.spacing**2 / 12.0 * (2.0 * potential.mass / potential.hbar**2) * (energy - v)
+    low = c.min()
+    if low <= 0.0:
+        raise GridTooSmall(f"a Numerov coefficient 1 + h^2 g/12 is {float(low):.3g} <= 0: "
+                           "the grid spacing is at least sqrt(12) decay lengths where the "
+                           "energy is forbidden")
+    return c
 
 
 def _ratios(c: np.ndarray, y0: float, y1: float) -> np.ndarray:
     """Ratios r_i = y_{i+1}/y_i of the Numerov solution seeded by (y0, y1),
-    as one float array.
+    as one float array, from coefficients c of :func:`_coefficients`.
 
     The recurrence c_{i+1} y_{i+1} = (12 - 10 c_i) y_i - c_{i-1} y_{i-1} is
     marched in z_i = c_i y_i, where it reads z_{i+1} + z_{i-1} = D_i z_i
@@ -282,33 +290,28 @@ def _ratios(c: np.ndarray, y0: float, y1: float) -> np.ndarray:
     own float, so an exact zero there is one here.  The ratios rho_i =
     z_{i+1}/z_i obey rho_i = D_i - 1/rho_{i-1}, one subtraction and one
     division per point (Johnson's ratio form, J. Chem. Phys. 69, 4678
-    (1978)), and one array product r_i = rho_i c_i/c_{i+1} turns them into
-    y-ratios.  The march cannot overflow, and every sign change of the
-    solution is one negative ratio.  A zero seed y0 gives r_0 = inf.  An
-    exact zero sample y_{k+1} = 0 is stored as r_k = 0 followed by the
-    two-step ratio y_{k+2}/y_k = -c_k/c_{k+2} (z_{k+2} = -z_k).  The
-    shooting sweeps keep these arrays: an eigenfunction is rebuilt from the
-    last sweeps of its level's Newton polish, without marching again.  A
-    coefficient c_i <= 0 (a spacing of at least sqrt(12) decay lengths)
-    raises GridTooSmall.
+    (1978)), marched as plain floats read straight from D's buffer, and one
+    array product r_i = rho_i c_i/c_{i+1} turns them into y-ratios.  The
+    march cannot overflow, and every sign change of the solution is one
+    negative ratio.  A zero seed y0 gives r_0 = inf.  An exact zero sample
+    y_{k+1} = 0 is stored as r_k = 0 followed by the two-step ratio
+    y_{k+2}/y_k = -c_k/c_{k+2} (z_{k+2} = -z_k).  The shooting sweeps keep
+    these arrays: an eigenfunction is rebuilt from the last sweeps of its
+    level's Newton polish, without marching again.
     """
-    if c.min() <= 0.0:
-        raise GridTooSmall(f"a Numerov coefficient 1 + h^2 g/12 is {float(c.min()):.3g} <= 0: "
-                           "the grid spacing is at least sqrt(12) decay lengths where the "
-                           "energy is forbidden")
     first = y1 / y0 if y0 else math.inf
-    shift = c[:-1] / c[1:]
     diag = (12.0 - 10.0 * c[1:-1]) / c[1:-1]
-    # float(): a numpy-scalar zero would divide with a warning, not raise.
-    rho = np.fromiter(_ratio_steps(diag.tolist(), float(first / shift[0])), float, len(c) - 1)
-    ratios = rho * shift
+    c0, c1 = c[:2].tolist()  # a Python-float zero divides by raising, not with a warning
+    rho = np.fromiter(_ratio_steps(memoryview(diag), first / (c0 / c1)), float, len(c) - 1)
+    ratios = rho * (c[:-1] / c[1:])
     ratios[0] = first  # the seed's own ratio, not its round trip through c
-    zero = np.flatnonzero(rho[:-1] == 0.0)  # each is bridged by the next ratio
-    ratios[zero + 1] = -c[zero] / c[zero + 2]
+    if not rho[:-1].all():  # each exact zero is bridged by the next ratio
+        zero = np.flatnonzero(rho[:-1] == 0.0)
+        ratios[zero + 1] = -c[zero] / c[zero + 2]
     return ratios
 
 
-def _ratio_steps(diag: list[float], rho: float):
+def _ratio_steps(diag, rho: float):
     """The z-ratios rho of :func:`_ratios`, one plain-float step at a time;
     after a zero the two-step ratio -1 is yielded and the march goes on
     from 1/0."""
@@ -328,14 +331,17 @@ def _samples(ratios: np.ndarray, y0: float, y1: float, log: bool = False):
     ratios.  Raises Overflow past the range where products of two samples
     stay finite; with ``log`` it returns (log|y|, sign y), which cannot."""
     factors = np.concatenate([[y0], ratios])
-    zero = factors == 0.0  # exact zero samples; the next factor bridges each
+    zero = np.flatnonzero(factors == 0.0)  # exact zero samples; the next factor bridges each
     factors[zero] = 1.0
     if not y0:
         factors[1] = y1
     if log:
-        logs = np.cumsum(np.log(np.abs(factors)))
+        signs = np.where(np.logical_xor.accumulate(factors < 0.0), -1.0, 1.0)
+        logs = np.abs(factors, out=factors)
+        np.log(logs, out=logs)
+        np.cumsum(logs, out=logs)
         logs[zero] = -np.inf
-        return logs, np.cumprod(np.sign(factors))
+        return logs, signs
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.cumprod(factors)
     values[zero] = 0.0
@@ -376,12 +382,12 @@ def _decay_seeds(potential: Potential, energy: float, grid: RealGrid, v: np.ndar
     (their scale is immaterial: only their ratios are marched)."""
     if potential.hard_wall:
         return (0.0, 1.0), (0.0, 1.0)
-    gaps = v[[0, -1]] - energy
-    if gaps.min() <= 0.0:
+    gaps = (float(v[0]) - energy, float(v[-1]) - energy)
+    if min(gaps) <= 0.0:
         raise ValueError("energy is not classically forbidden at the grid edge; "
                          "the decaying seed is undefined")
-    kappa = np.sqrt(2.0 * potential.mass * gaps) / potential.hbar
-    return tuple((1.0, math.exp(k * grid.spacing)) for k in kappa)
+    return tuple((1.0, math.exp(math.sqrt(2.0 * potential.mass * gap) / potential.hbar
+                                * grid.spacing)) for gap in gaps)
 
 
 def _matching_index(v: np.ndarray, energy: float) -> int:
@@ -447,10 +453,28 @@ def _action_guess(potential: Potential, v: np.ndarray, grid: RealGrid, quanta: f
     """Energy in (lo, hi) where the classical action (1/pi hbar) int p dq over
     the sampled potential ``v`` equals ``quanta`` (Bohr-Sommerfeld), found by
     Illinois regula falsi; None when the action does not reach ``quanta``
-    inside the bracket."""
+    inside the bracket.
+
+    p vanishes wherever v >= hi, so the action reads only the span of samples
+    below the bracket top, as one weighted sum: the trapezoid's weight h, or
+    h/2 on a grid end (where p need not vanish, as between hard walls)."""
+    below = np.flatnonzero(v < hi)
+    if not below.size:
+        return None
+    first, last = int(below[0]), int(below[-1]) + 1
+    two_m = 2.0 * potential.mass
+    two_m_v = two_m * v[first:last]
+    weights = np.full(last - first, grid.spacing / (math.pi * potential.hbar))
+    if first == 0:
+        weights[0] *= 0.5
+    if last == len(v):
+        weights[-1] *= 0.5
+
     def excess(energy):
-        p = np.sqrt(np.maximum(2.0 * potential.mass * (energy - v), 0.0))
-        return float(np.trapezoid(p, dx=grid.spacing)) / (math.pi * potential.hbar) - quanta
+        p = np.subtract(two_m * energy, two_m_v)
+        np.maximum(p, 0.0, out=p)
+        np.sqrt(p, out=p)
+        return float(p @ weights) - quanta
 
     f_lo, f_hi = excess(lo), excess(hi)
     if not f_lo < 0.0 < f_hi:
@@ -476,24 +500,44 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     the tails (a_im, a_im+1) and (b_im, b_im+1) of the edge-positive
     solutions, and both marches in grid order as (log|y|, sign y).
 
-    With z_i = c_i y_i the Numerov recurrence gives D_i - D_{i-1} =
-    -(2 m h^2/hbar^2) y_i^2 for D_i = z_i dz_{i+1}/dE - z_{i+1} dz_i/dE
-    (Cooley's corrector, Math. Comp. 15, 363 (1961), on the discrete
-    march).  So the angle between the tails turns at (2 m h^2/hbar^2)
-    (sum_{i<=im} a_i^2 + sum_{i>im} b_i^2) with a and b scaled to unit
-    tails, which is |dw/dE| wherever w vanishes.  The soft-edge seed terms
-    (weight e^{-2 int kappa}) and the factor 1/(c_im c_im+1) ~ 1 are
-    dropped.  The sums are taken in log form: a decaying solution can grow
-    past the float range before it reaches the matching point."""
-    left_log, left_sign = _samples(*left, log=True)
-    right_log, right_sign = (part[::-1] for part in _samples(*right, log=True))
-    # log of each tail's length, and each march's samples scaled by it
-    left_unit = left_log - 0.5 * np.logaddexp(*(2.0 * left_log[-2:]))
-    right_unit = right_log - 0.5 * np.logaddexp(*(2.0 * right_log[:2]))
-    weight = np.exp(2.0 * left_unit[:-1]).sum() + np.exp(2.0 * right_unit[1:]).sum()
-    cosine = np.dot(left_sign[-2:] * right_sign[:2], np.exp(left_unit[-2:] + right_unit[:2]))
+    With z_i = c_i y_i the Numerov recurrence gives C_i - C_{i-1} =
+    -K y_i^2, K = 2 m h^2/hbar^2, for C_i = z_i dz_{i+1}/dE - z_{i+1}
+    dz_i/dE (Cooley's corrector, Math. Comp. 15, 363 (1961), on the
+    discrete march).  So the angle between the tails turns at K (-C_0^a/K
+    + sum_{0<i<=im} a_i^2 + sum_{im<i<n-1} b_i^2 - C_0^b/K) with a and b
+    scaled to unit tails, which is |dw/dE| wherever w vanishes; C_0 is each
+    march's value at its seed.  A hard wall's seed (0, 1) has C_0 = 0.  The
+    decaying seed (1, e^{kappa h}) of a soft edge moves with kappa, where
+    dkappa/dE = -m/(hbar^2 kappa), so -C_0/K = e^{kappa h} (c_0 c_1/(2
+    kappa h) - (c_0 - c_1)/12): it stands for the tail beyond the grid edge.
+    It is taken as e^{kappa h} c_0^2/(2 kappa h) with c_0 = 1 - (kappa
+    h)^2/12, which drops terms of order h^3 dV/dq; the factor 1/(c_im
+    c_im+1) ~ 1 is dropped too.  The sums are taken in log form: a decaying
+    solution can grow past the float range before it reaches the matching
+    point.  The tail norms and the cosine are Python floats."""
+    weight, tails, marches = 0.0, [], []
+    for ratios, y0, y1 in (left, right):
+        log, sign = _samples(ratios, y0, y1, log=True)
+        p, q = log[-2:].tolist()
+        # log of the tail's length, and the march's squares scaled by it
+        norm = max(p, q) + 0.5 * math.log1p(math.exp(-2.0 * abs(p - q)))
+        squares = np.subtract(log[:-1], norm)
+        squares *= 2.0
+        np.exp(squares, out=squares)
+        first = float(ratios[0])
+        if y0 and first > 1.0:  # a decaying seed: its sample's square becomes -C_0/K
+            kappa_h = math.log(first)
+            squares[0] *= first * (1.0 - kappa_h * kappa_h / 12.0) ** 2 / (2.0 * kappa_h)
+        weight += float(squares.sum())
+        tails.append((p - norm, q - norm, *sign[-2:].tolist()))
+        marches.append((log, sign))
+    # Tails in grid order: a's is (im, im+1), b's march ends at (im+1, im).
+    (a_im, a_next, sa_im, sa_next), (b_next, b_im, sb_next, sb_im) = tails
+    cosine = (sa_im * sb_im * math.exp(a_im + b_im)
+              + sa_next * sb_next * math.exp(a_next + b_next))
     slope = 2.0 * potential.mass * (grid.spacing / potential.hbar) ** 2 * weight
-    return float(slope), float(cosine), (left_log, left_sign), (right_log, right_sign)
+    (left_log, left_sign), (right_log, right_sign) = marches
+    return slope, cosine, (left_log, left_sign), (right_log[::-1], right_sign[::-1])
 
 
 def _extrapolated(march, previous, t: float):
@@ -523,22 +567,31 @@ def _assemble_eigenfunction(grid: RealGrid, energy: float, index: int,
     # eigenfunction can sit on either grid point, leaving a roundoff-level
     # sample with a meaningless sign, so anchor the splice at the overlap
     # sample where both marches stand farther from zero.
-    j = int(np.argmax(left_log[im:] + right_log[:2]))
-    shift = left_log[im + j] - right_log[j]
+    overlap = (left_log[im:] + right_log[:2]).tolist()
+    j = int(overlap[1] > overlap[0])
+    shift = float(left_log[im + j] - right_log[j])
     if not math.isfinite(shift):
         raise DegeneratePair("matching point collapsed to zero on both sides")
-    logs = np.concatenate([left_log[:im], right_log + shift])
-    signs = np.concatenate([left_sign[:im], right_sign * left_sign[im + j] * right_sign[j]])
-    values = signs * np.exp(logs - logs.max())  # peak 1: the squares stay finite
+    values = np.empty(grid.n_points)
+    values[:im] = left_log[:im]
+    np.add(right_log, shift, out=values[im:])
+    values -= values.max()  # peak 1: the squares stay finite
+    np.exp(values, out=values)
+    values[:im] *= left_sign[:im]
+    values[im:] *= right_sign
+    if left_sign[im + j] != right_sign[j]:
+        np.negative(values[im:], out=values[im:])
 
     # A node can land exactly on a grid point, leaving a roundoff-level
     # sample whose sign is noise; count sign changes over the samples that
     # stand clear of that noise so such a node is seen once, not twice.
     # The first of them sets the overall sign.
     clear = values[np.abs(values) > 1e-9]
-    norm = math.sqrt(float(np.trapezoid(values * values, dx=grid.spacing)))
-    values = values * (math.copysign(1.0, clear[0]) / norm)
-    nodes = int(np.count_nonzero(clear[:-1] * clear[1:] < 0.0))
+    ends = values[0] * values[0] + values[-1] * values[-1]
+    norm = math.sqrt(grid.spacing * (float(values @ values) - 0.5 * ends))  # the trapezoid
+    values *= math.copysign(1.0 / norm, clear[0])
+    negative = np.signbit(clear)
+    nodes = int(np.count_nonzero(negative[:-1] != negative[1:]))
     if nodes != index:
         raise NodeCountMismatch(f"level {index} at E = {energy!r} shows {nodes} nodes; the "
                                 "grid under-resolves it or a node is below the noise floor")
@@ -572,7 +625,7 @@ def find_eigenvalues(
     r = max(s/s_prev, |secant - slope|/slope) is at most 1/2 and the
     predicted next step r s passes that stop test.  The secant is w's
     through the two sweeps, so a slope that misjudges w (a doublet's fast
-    turn, the dropped seed terms) forbids the prediction.  That trial, the
+    turn) forbids the prediction.  That trial, the
     energy a confirming sweep would have run at, lies inside the count
     bracket and is returned unswept.  The potential is sampled once per
     call and every sweep reads that sample; the eigenfunction of level k is

@@ -189,6 +189,29 @@ def test_huge_well_trajectory_reports_overflow(capsys, length):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, unused", [
+    (["spectrum", "--potential", "harmonic", "--range", "0:3"], ["qmkit.saqm", "qmkit.qshje"]),
+    (["audit", "counting"], ["qmkit.schrodinger1d", "qmkit.qshje"]),
+], ids=["spectrum", "audit-counting"])
+def test_a_subcommand_loads_only_the_layers_it_runs(argv, unused):
+    # A fresh process imports qmkit and its command line; each subcommand
+    # imports the solver layers it calls, and no other.
+    src = str(Path(qmkit.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qmkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('qmkit'))]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    code, loaded = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    assert "qmkit.cli" in loaded
+    assert not set(unused) & set(loaded), loaded
+
+
 class TestOutputTarget:
     @pytest.mark.parametrize(
         "argv",

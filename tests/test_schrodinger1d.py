@@ -451,6 +451,13 @@ def test_well_window_costs_at_most_2_2_sweeps_per_level():
     assert per_level <= 2.2
 
 
+def test_tabulated_window_costs_at_most_2_3_sweeps_per_level():
+    q = np.linspace(-10.0, 10.0, 1401)
+    result, per_level = _solve_counting_sweeps(Potential.tabulated(q, 0.5 * q * q), (0.0, 20.0))
+    assert len(result.energies) == 20
+    assert per_level <= 2.3
+
+
 def _polish_tolerance(potential, grid, energies):
     """max(1e-12 max(1, |E|), energy resolution of the Numerov coefficients)."""
     resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
@@ -555,6 +562,53 @@ def test_newton_slope_matches_a_central_difference(potential, level, offset):
     w_hi, w_lo = (schrodinger1d._shoot(potential, energy + d, grid, v, im)[1]
                   for d in (1e-5, -1e-5))
     assert slope == pytest.approx(abs(w_hi - w_lo) / 2e-5, rel=0.05)
+
+
+_EDGE_Q = np.linspace(-6.0, 6.0, 2001)
+
+
+def test_a_level_near_the_soft_edge_polishes_on_the_slope_with_the_seed_terms():
+    # Level 17 of q^2/2 cut at |q| = 6 lies 0.59 below the edge potential,
+    # so the tails the decaying seeds stand for carry 11% of dw/dE.  Without
+    # them the Newton steps overshoot: w alternated sign and the polish took
+    # 10 sweeps to reach 17.411712646237095.
+    potential = Potential.tabulated(_EDGE_Q, 0.5 * _EDGE_Q**2)
+    grid = potential.default_grid()
+    result, per_level = _solve_counting_sweeps(potential, (16.6, 17.9))
+    assert result.node_counts == (17,)
+    assert per_level - 2 <= 5  # the window's two edge sweeps, then the polish
+    energy = result.energies[0]
+    limit = _polish_tolerance(potential, grid, result.energies)[0]
+    assert abs(energy - 17.411712646237095) <= limit
+    v = potential.evaluate(grid.points())
+    _, _, im, marches = schrodinger1d._shoot(potential, energy, grid, v)
+    slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
+    for d in (1e-7, 1e-5, 1e-3):
+        w_hi, w_lo = (schrodinger1d._shoot(potential, energy + e, grid, v, im)[1]
+                      for e in (d, -d))
+        assert slope == pytest.approx(abs(w_hi - w_lo) / (2.0 * d), rel=1e-4), d
+
+
+_ACTION_Q = np.linspace(-6.0, 6.0, 4001)
+
+
+@pytest.mark.parametrize("potential, grid, top", [
+    (Potential.harmonic(), HARMONIC_GRID, 40.0),
+    (Potential.infinite_well(1.0), WELL_GRID, 2000.0),
+    (Potential.tabulated(_ACTION_Q, (_ACTION_Q**2 - 4.0) ** 2), RealGrid(-6.0, 6.0, 4001), 40.0),
+], ids=["harmonic", "well", "double-well"])
+def test_action_guess_solves_the_trapezoid_action(potential, grid, top):
+    # The guess reads only the samples below its bracket top, as a weighted
+    # sum; over the full grid, np.trapezoid's action at the guess must be
+    # k + 1/2 quanta (k + 1 between hard walls).  The end samples keep their
+    # half weights: between hard walls p does not vanish there.
+    v = potential.evaluate(grid.points())
+    maslov = 1.0 if potential.hard_wall else 0.5
+    for k in range(10):
+        guess = schrodinger1d._action_guess(potential, v, grid, k + maslov, float(v.min()), top)
+        p = np.sqrt(np.maximum(2.0 * potential.mass * (guess - v), 0.0))
+        action = float(np.trapezoid(p, dx=grid.spacing)) / (math.pi * potential.hbar)
+        assert abs(action - (k + maslov)) <= schrodinger1d._GUESS_TOL, k
 
 
 @pytest.mark.parametrize("potential, window", [(Potential.harmonic(), (0.0, 40.0)),
