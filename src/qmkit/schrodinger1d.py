@@ -17,11 +17,12 @@ bracket.  Newton converges quadratically there, so two Newton sweeps in a
 row predict the step after them; where that predicted step passes the
 stop test, the polish ends on the second sweep's trial energy without
 sweeping it.  Every sweep of one search reads the potential sampled once
-on the grid, and each level's eigenfunction is spliced from the two
-marches of its last sweep, or, at an unswept trial, from the marches of
-its last two sweeps extrapolated linearly in energy to it, with no
-further march.  The module also builds the canonical solution pairs that
-the reduced-action reconstruction consumes.
+on the grid, and the window's top only where a count bracket needs it.
+Each level's eigenfunction is spliced from the marches of its last sweep,
+each over its end sample, or, at an unswept trial, from those of its last
+two sweeps extrapolated linearly in energy to it, with no further march.
+The module also builds the canonical solution pairs that the
+reduced-action reconstruction consumes.
 """
 
 from __future__ import annotations
@@ -326,22 +327,15 @@ def _ratio_steps(diag, rho: float):
         yield rho
 
 
-def _samples(ratios: np.ndarray, y0: float, y1: float, log: bool = False):
+def _samples(ratios: np.ndarray, y0: float, y1: float) -> np.ndarray:
     """Samples of the Numerov solution seeded by (y0, y1), rebuilt from its
     ratios.  Raises Overflow past the range where products of two samples
-    stay finite; with ``log`` it returns (log|y|, sign y), which cannot."""
+    stay finite."""
     factors = np.concatenate([[y0], ratios])
     zero = np.flatnonzero(factors == 0.0)  # exact zero samples; the next factor bridges each
     factors[zero] = 1.0
     if not y0:
         factors[1] = y1
-    if log:
-        signs = np.where(np.logical_xor.accumulate(factors < 0.0), -1.0, 1.0)
-        logs = np.abs(factors, out=factors)
-        np.log(logs, out=logs)
-        np.cumsum(logs, out=logs)
-        logs[zero] = -np.inf
-        return logs, signs
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.cumprod(factors)
     values[zero] = 0.0
@@ -349,6 +343,24 @@ def _samples(ratios: np.ndarray, y0: float, y1: float, log: bool = False):
         raise Overflow("integration exceeded the representable range; "
                        "renormalize or shrink the domain")
     return values
+
+
+def _end_scaled(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A march's samples t_i = y_i/y_e over its end sample y_e (one reversed
+    cumulative product of its ratios and one reciprocal), and its factors:
+    the ratios with 1 in place of each exact zero sample's, so y_e is the
+    last nonzero one of the last two samples and the factors multiply to
+    y_e/y_0 (to y_e/y_1 from r_1 on, behind a hard wall's r_0 = inf).  A
+    product past the float range gives t = 0, as r_0 = inf does to t_0;
+    for a positive seed t_0 has the sign of y_e."""
+    zero = ratios == 0.0
+    factors = np.where(zero, 1.0, ratios)
+    t = np.ones(len(ratios) + 1)
+    with np.errstate(over="ignore"):
+        np.cumprod(factors[::-1], out=t[-2::-1])
+    np.reciprocal(t[:-1], out=t[:-1])
+    t[1:][zero] = 0.0
+    return t, factors
 
 
 def numerov_integrate(
@@ -498,7 +510,8 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     """Newton data of one sweep of :func:`_shoot`, from its marches (ratios,
     y0, y1) of a and b: |dw/dE| at fixed im, the cosine of the angle between
     the tails (a_im, a_im+1) and (b_im, b_im+1) of the edge-positive
-    solutions, and both marches in grid order as (log|y|, sign y).
+    solutions, and each march as (t, factors) of :func:`_end_scaled`, in
+    march order.
 
     With z_i = c_i y_i the Numerov recurrence gives C_i - C_{i-1} =
     -K y_i^2, K = 2 m h^2/hbar^2, for C_i = z_i dz_{i+1}/dE - z_{i+1}
@@ -512,75 +525,49 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     kappa h) - (c_0 - c_1)/12): it stands for the tail beyond the grid edge.
     It is taken as e^{kappa h} c_0^2/(2 kappa h) with c_0 = 1 - (kappa
     h)^2/12, which drops terms of order h^3 dV/dq; the factor 1/(c_im
-    c_im+1) ~ 1 is dropped too.  The sums are taken in log form: a decaying
-    solution can grow past the float range before it reaches the matching
-    point.  The tail norms and the cosine are Python floats."""
-    weight, tails, marches = 0.0, [], []
+    c_im+1) ~ 1 is dropped too.  The sums read each march over its end
+    sample, t = y/y_e, which no growth before the matching point overflows;
+    its tail (t_{n-2}, t_{n-1}) scales it to unit length."""
+    weight, tails, sides = 0.0, [], []
     for ratios, y0, y1 in (left, right):
-        log, sign = _samples(ratios, y0, y1, log=True)
-        p, q = log[-2:].tolist()
-        # log of the tail's length, and the march's squares scaled by it
-        norm = max(p, q) + 0.5 * math.log1p(math.exp(-2.0 * abs(p - q)))
-        squares = np.subtract(log[:-1], norm)
-        squares *= 2.0
-        np.exp(squares, out=squares)
-        first = float(ratios[0])
+        t, factors = _end_scaled(ratios)
+        first, p, q = float(ratios[0]), float(t[-2]), float(t[-1])
+        squares = float(t[:-1] @ t[:-1])
         if y0 and first > 1.0:  # a decaying seed: its sample's square becomes -C_0/K
             kappa_h = math.log(first)
-            squares[0] *= first * (1.0 - kappa_h * kappa_h / 12.0) ** 2 / (2.0 * kappa_h)
-        weight += float(squares.sum())
-        tails.append((p - norm, q - norm, *sign[-2:].tolist()))
-        marches.append((log, sign))
+            seed = first * (1.0 - kappa_h * kappa_h / 12.0) ** 2 / (2.0 * kappa_h)
+            squares += (seed - 1.0) * float(t[0]) ** 2
+        norm = math.hypot(p, q)
+        weight += squares / (norm * norm)
+        tails.append((math.copysign(1.0 / norm, t[0]), p, q))
+        sides.append((t, factors))
     # Tails in grid order: a's is (im, im+1), b's march ends at (im+1, im).
-    (a_im, a_next, sa_im, sa_next), (b_next, b_im, sb_next, sb_im) = tails
-    cosine = (sa_im * sb_im * math.exp(a_im + b_im)
-              + sa_next * sb_next * math.exp(a_next + b_next))
+    (scale_a, a_im, a_next), (scale_b, b_next, b_im) = tails
+    cosine = scale_a * scale_b * (a_im * b_im + a_next * b_next)
     slope = 2.0 * potential.mass * (grid.spacing / potential.hbar) ** 2 * weight
-    (left_log, left_sign), (right_log, right_sign) = marches
-    return slope, cosine, (left_log, left_sign), (right_log[::-1], right_sign[::-1])
-
-
-def _extrapolated(march, previous, t: float):
-    """The march y + t (y - y_prev) in log form, from two marches (log|y|,
-    sign y) of one sweep side at nearby energies: linear in energy, so
-    t = (E - E_now)/(E_now - E_prev) gives the march at E to first order.
-    Each sample pair is combined on its own common scale, so no dynamic
-    range of the marches overflows or underflows."""
-    (log, sign), (log_prev, sign_prev) = march, previous
-    scale = np.maximum(log, log_prev)
-    scale[scale == -np.inf] = 0.0  # an exact zero sample in both marches
-    values = (1.0 + t) * sign * np.exp(log - scale) - t * sign_prev * np.exp(log_prev - scale)
-    with np.errstate(divide="ignore"):
-        return scale + np.log(np.abs(values)), np.sign(values)
+    return slope, cosine, *sides
 
 
 def _assemble_eigenfunction(grid: RealGrid, energy: float, index: int,
-                            left, right) -> Wavefunction:
+                            left: np.ndarray, right: np.ndarray) -> Wavefunction:
     """Splice the two marches at ``energy`` (of one sweep, or extrapolated
-    to it from two), given in grid order as (log|y|, sign y): the left one
-    ends at im+1, the right one starts at im.  Raise NodeCountMismatch
+    to it from two), each over its own end sample, in grid order: the left
+    one ends at im+1, the right one starts at im.  Raise NodeCountMismatch
     unless the result has ``index`` nodes."""
-    (left_log, left_sign), (right_log, right_sign) = left, right
-    im = len(left_log) - 2
+    im = len(left) - 2
 
     # The two marches overlap on indices im and im+1.  A node of the true
     # eigenfunction can sit on either grid point, leaving a roundoff-level
     # sample with a meaningless sign, so anchor the splice at the overlap
     # sample where both marches stand farther from zero.
-    overlap = (left_log[im:] + right_log[:2]).tolist()
+    overlap = np.abs(left[im:] * right[:2]).tolist()
     j = int(overlap[1] > overlap[0])
-    shift = float(left_log[im + j] - right_log[j])
-    if not math.isfinite(shift):
+    if not overlap[j]:
         raise DegeneratePair("matching point collapsed to zero on both sides")
     values = np.empty(grid.n_points)
-    values[:im] = left_log[:im]
-    np.add(right_log, shift, out=values[im:])
-    values -= values.max()  # peak 1: the squares stay finite
-    np.exp(values, out=values)
-    values[:im] *= left_sign[:im]
-    values[im:] *= right_sign
-    if left_sign[im + j] != right_sign[j]:
-        np.negative(values[im:], out=values[im:])
+    values[:im] = left[:im]
+    np.multiply(right, left[im + j] / right[j], out=values[im:])
+    values /= np.abs(values).max()  # peak 1: the squares stay finite
 
     # A node can land exactly on a grid point, leaving a roundoff-level
     # sample whose sign is noise; count sign changes over the samples that
@@ -616,27 +603,28 @@ def find_eigenvalues(
     down at k + 1); the matching point stays where the first sweep counting
     k or k + 1 put it.  A step off the count bracket, a count other than k
     or k + 1, or a sweep nearer another root of w bisects the bracket
-    instead, so the counts alone decide every level.  The polish stops at
-    the sweep whose step is below half of 1e-12 max(1, |E|), or of the
-    energy resolution of the Numerov coefficients where that is wider, and
-    returns that sweep's energy.  It also stops one sweep earlier, on the
-    trial E +/- s of a Newton sweep with step s that follows another with
-    step s_prev (no bisection between them), when the contraction rate
-    r = max(s/s_prev, |secant - slope|/slope) is at most 1/2 and the
-    predicted next step r s passes that stop test.  The secant is w's
-    through the two sweeps, so a slope that misjudges w (a doublet's fast
-    turn) forbids the prediction.  That trial, the
-    energy a confirming sweep would have run at, lies inside the count
-    bracket and is returned unswept.  The potential is sampled once per
-    call and every sweep reads that sample; the eigenfunction of level k is
-    spliced from the marches of its last sweep, or, at an unswept trial,
-    from those of its last two sweeps extrapolated linearly in energy to
-    the trial.  Levels closer than float spacing or than that energy
-    resolution raise LevelsUnresolved (a tunnelling doublet the grid cannot
-    split), an eigenfunction without k nodes raises NodeCountMismatch (the
-    grid under-resolves it).  For soft potentials only energies classically
-    forbidden at both grid edges are searchable; a window with no such level
-    raises NoEigenvalueInRange.
+    instead, so the counts alone decide every level.  The window's top is
+    swept only when a bracket needs its count (a guess outside it, a
+    bisection or a step reaching the top), and the search ends once the top
+    counts at most k levels.  The polish stops at the sweep whose step is
+    below half of 1e-12 max(1, |E|), or of the energy resolution of the
+    Numerov coefficients where that is wider, and returns its energy.  It
+    also stops one sweep earlier, on the trial E +/- s of a Newton sweep
+    with step s that follows another with step s_prev (no bisection between
+    them), when the contraction rate r = max(s/s_prev, |secant -
+    slope|/slope) is at most 1/2 and the predicted next step r s passes
+    that stop test.  The secant is w's through the two sweeps, so a slope
+    that misjudges w (a doublet's fast turn) forbids the prediction.  That
+    trial lies inside the count bracket and is returned unswept.  Every
+    sweep reads the potential sampled once per call; level k's
+    eigenfunction is spliced from its last sweep's marches, or from its last
+    two sweeps' extrapolated linearly in energy to an unswept trial.  Levels
+    closer than float spacing or than that energy resolution raise
+    LevelsUnresolved (a tunnelling doublet the grid cannot split), an
+    eigenfunction without k nodes raises NodeCountMismatch (the grid
+    under-resolves it).  For soft potentials only energies classically
+    forbidden at both grid edges are searchable; a window with no such
+    level raises NoEigenvalueInRange.
     The window's floor is raised to the potential's minimum on the grid,
     below which no level lies; a grid whose spacing there is at least
     sqrt(12) decay lengths (a Numerov coefficient <= 0) raises GridTooSmall.
@@ -672,73 +660,85 @@ def find_eigenvalues(
     doublet = ("two levels near E = %r lie closer than float spacing or than the grid's "
                f"energy resolution {resolution:.1e}; the grid cannot separate them")
     # Every sweep reads the sampled v; the table keeps each sweep's count.
-    counts = {e: _shoot(potential, e, grid, v)[0] for e in (e_lo, search_hi)}
-    k_lo, k_hi = counts[e_lo], counts[search_hi]
-    if k_hi <= k_lo:
-        raise NoEigenvalueInRange("no level inside the energy window")
+    counts = {e_lo: _shoot(potential, e_lo, grid, v)[0]}
 
-    def bracket(k):
+    def bracket(k):  # the window's top bounds level k until a sweep counts more than k
         return (max(e for e, count in counts.items() if count <= k),
-                min(e for e, count in counts.items() if count > k))
+                min((e for e, count in counts.items() if count > k), default=search_hi))
+
+    def beyond_top(k):  # whether level k lies above the window; the top is swept once
+        if search_hi not in counts:
+            counts[search_hi] = _shoot(potential, search_hi, grid, v)[0]
+        return counts[search_hi] <= k
 
     energies, functions = [], []
-    levels = range(k_lo, min(k_hi, k_lo + max_count))
     maslov = 1.0 if potential.hard_wall else 0.5  # level 0's action, in units of 2 pi hbar
+    start = int(potential.hard_wall)  # a hard wall's r_0 = inf; its y_1 = 1 in every sweep
+    levels = range(counts[e_lo], counts[e_lo] + max_count)
     for k in levels:
         lo, hi = bracket(k)
-        guess = _action_guess(potential, v, grid, k + maslov, lo, hi)
-        energy = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
-        im = last = None  # last: (energy, w, step, marches) of the last Newton sweep
+        energy = _action_guess(potential, v, grid, k + maslov, lo, hi)
+        if energy is None or not lo < energy < hi:
+            if hi == search_hi and beyond_top(k):
+                break
+            energy = 0.5 * (lo + hi)
+        im = last = None  # last: (energy, w, step, sides) of the last Newton sweep
         for _ in range(_LEVEL_MAX_ITER):
             count, w, at, marches = _shoot(potential, energy, grid, v, im)
             counts[energy] = count
             lo, hi = bracket(k)
-            if count in (k, k + 1):
-                im = at  # unchanged once set: _shoot keeps a given im
-                slope, cosine, left, right = _match_slope(potential, grid, *marches)
             # Level k lies above (count k) or below (count k + 1), within the
             # count bracket.  Where it is the root of w nearest this sweep
             # (the tails' cosine then has the sign (-1)^k it has at level k),
             # it also lies within one Newton step |w|/|dw/dE|; there the
             # sweep steps toward it, or stops once the step is below the
             # polish tolerance.  Any other sweep bisects the count bracket.
-            if count in (k, k + 1) and (cosine > 0.0) == (k % 2 == 0):
+            newton = count in (k, k + 1)
+            if newton:
+                im = at  # unchanged once set: _shoot keeps a given im
+                slope, cosine, *sides = _match_slope(potential, grid, *marches)
+                newton = (cosine > 0.0) == (k % 2 == 0)
+            # A bisection, or a step up to the window's top, needs the top's count.
+            if hi == search_hi and (not newton or abs(w) / slope >= hi - lo) and beyond_top(k):
+                energy = None
+                break
+            if newton:
                 step = min(hi - lo, abs(w) / slope)
                 tolerance = 0.5 * max(_LEVEL_RTOL * max(1.0, abs(energy)), resolution)
                 if step <= tolerance:
                     break
                 trial = energy + step if count == k else energy - step
                 if lo < trial < hi:
-                    # Two Newton sweeps in a row predict the next step: this
-                    # one times the larger of the steps' ratio and the
-                    # slope's misfit to the secant of w through both sweeps.
-                    # Where that rate is at most 1/2 and the predicted step
-                    # passes the stop test, the polish ends at the trial
-                    # without sweeping it, its marches extrapolated linearly
-                    # in energy from the two sweeps.
+                    # The predicted stop, with the trial's marches linear in energy:
+                    # y + tau (y - y_last) = y_e ((1 + tau) t - tau q t_last), q = y_e,last/y_e.
                     if last:
-                        last_energy, last_w, last_step, last_marches = last
+                        last_energy, last_w, last_step, last_sides = last
                         secant = abs(w - last_w) / abs(energy - last_energy)
                         rate = max(step / last_step, abs(secant - slope) / slope)
                         if rate <= 0.5 and rate * step <= tolerance:
-                            t = (trial - energy) / (energy - last_energy)
-                            left, right = (_extrapolated(now, then, t)
-                                           for now, then in zip((left, right), last_marches))
+                            tau = (trial - energy) / (energy - last_energy)
+                            sides = [((1.0 + tau) * t - tau * np.prod(f_last[start:] / f[start:])
+                                      * t_last, f)
+                                     for (t, f), (t_last, f_last) in zip(sides, last_sides)]
                             energy = trial
                             break
-                    last, energy = (energy, w, step, (left, right)), trial
+                    last, energy = (energy, w, step, sides), trial
                     continue
             last, energy = None, 0.5 * (lo + hi)
             if not lo < energy < hi:
                 raise LevelsUnresolved(doublet % energy)
         else:
             raise LevelsUnresolved(f"level {k} not polished in {_LEVEL_MAX_ITER} steps")
+        if energy is None:
+            break
         if energies and energy - energies[-1] < resolution:
             raise LevelsUnresolved(doublet % energy)
         energies.append(energy)
-        functions.append(_assemble_eigenfunction(grid, energy, k, left, right))
-
-    return EigenResult(np.array(energies), tuple(levels), tuple(functions))
+        (left, _), (right, _) = sides
+        functions.append(_assemble_eigenfunction(grid, energy, k, left, right[::-1]))
+    if not energies:
+        raise NoEigenvalueInRange("no level inside the energy window")
+    return EigenResult(np.array(energies), tuple(levels[:len(energies)]), tuple(functions))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ the helpers here: symbolic differentiation for Schwarzian-derivative
 values, 2x2 matrix algebra for fractional-linear composition, closed-form
 spectra and eigenfunctions for the built-in potentials, a full-sweep Numerov
 node count and the levels found by bisecting on it, the plain Numerov
-recurrence (in float or long double), the Matrix Numerov spectrum of one
-dense eigensolve, a sample-by-sample walk that picks the trajectory grid,
+recurrence (in float or long double), the shooting slope's sums of squares
+taken in log form, the Matrix Numerov spectrum of one dense eigensolve, a
+sample-by-sample walk that picks the trajectory grid,
 brute-force path enumeration for amplitude networks, and trajectory time by
 central differences in energy.
 Only the last calls the library: it differences the library's reduced
@@ -136,6 +137,41 @@ def numerov_recurrence(c: np.ndarray, y0: float, y1: float, dtype=float) -> np.n
     for i in range(1, len(c) - 1):
         y.append(((twelve - ten * c[i]) * y[i] - c[i - 1] * y[i - 1]) / c[i + 1])
     return np.array(y, dtype=dtype).astype(float)
+
+
+def log_form_match_slope(left, right, h: float, mass: float = 1.0,
+                         hbar: float = 1.0) -> float:
+    """|dw/dE| of one shooting sweep from its two marches (ratios, y0, y1),
+    with every sum taken in log form.
+
+    Each march is rebuilt as log|y| by a cumulative sum of log|factor| over
+    the factors (y0, r_0, r_1, ...): an exact zero sample's factor is read
+    as 1 and its log set to -inf (the next ratio bridges it), and a zero y0
+    hands its factor to y1.  Its samples up to the next-to-last are squared
+    on the scale of its last two (the tail's length, by log-sum-exp); a
+    decaying seed (y0 = 1, r_0 = e^{kappa h} > 1) weights its sample by
+    e^{kappa h} c_0^2/(2 kappa h), c_0 = 1 - (kappa h)^2/12.  The slope is
+    2 m (h/hbar)^2 times both marches' sums.  No march overflows here, so
+    this referees the solver's sums over samples scaled to their end.
+    """
+    weight = 0.0
+    for ratios, y0, y1 in (left, right):
+        factors = np.concatenate([[y0], ratios])
+        zero = np.flatnonzero(factors == 0.0)
+        factors[zero] = 1.0
+        if not y0:
+            factors[1] = y1
+        logs = np.cumsum(np.log(np.abs(factors)))
+        logs[zero] = -np.inf
+        p, q = float(logs[-2]), float(logs[-1])
+        norm = max(p, q) + 0.5 * math.log1p(math.exp(-2.0 * abs(p - q)))
+        squares = np.exp(2.0 * (logs[:-1] - norm))
+        first = float(ratios[0])
+        if y0 and first > 1.0:
+            kappa_h = math.log(first)
+            squares[0] *= first * (1.0 - kappa_h * kappa_h / 12.0) ** 2 / (2.0 * kappa_h)
+        weight += float(squares.sum())
+    return 2.0 * mass * (h / hbar) ** 2 * weight
 
 
 def matrix_numerov_levels(v: np.ndarray, h: float) -> np.ndarray:

@@ -8,7 +8,9 @@ measured directly by halving the spacing.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmkit.schrodinger1d as schrodinger1d
-from oracles import (harmonic_eigenfunction, harmonic_level, matrix_numerov_levels,
-                     numerov_level_by_count_bisection, numerov_node_count, numerov_recurrence,
-                     numerov_samples, well_eigenfunction, well_level)
+from oracles import (harmonic_eigenfunction, harmonic_level, log_form_match_slope,
+                     matrix_numerov_levels, numerov_level_by_count_bisection,
+                     numerov_node_count, numerov_recurrence, numerov_samples,
+                     well_eigenfunction, well_level)
 from qmkit import (
     DegeneratePair,
     GridTooSmall,
     LevelsUnresolved,
+    NodeCountMismatch,
     NoEigenvalueInRange,
     Overflow,
     Potential,
@@ -409,6 +413,19 @@ def test_deep_double_well_ground_state_is_normalized():
     assert float(np.trapezoid(psi * psi, dx=q[1] - q[0])) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_a_tail_below_the_float_range_of_its_end_sample_stays_silent():
+    # Under the barrier of 50 (q^2 - 9)^2 + q/100 a march's far tail,
+    # scaled to its end sample, falls below 1e-308 of it and reads 0, with
+    # no overflow warning; the search still ends at level 1, whose
+    # eigenfunction shows no node.
+    q = np.linspace(-6.0, 6.0, 8001)
+    potential = Potential.tabulated(q, 50.0 * (q * q - 9.0) ** 2 + 0.01 * q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NodeCountMismatch, match="^level 1 "):
+            find_eigenvalues(potential, (0.0, 100.0), 64)
+
+
 # ---------------------------------------------------------------------------
 # shooting work and accuracy gates (machine-independent)
 
@@ -456,6 +473,55 @@ def test_tabulated_window_costs_at_most_2_3_sweeps_per_level():
     result, per_level = _solve_counting_sweeps(Potential.tabulated(q, 0.5 * q * q), (0.0, 20.0))
     assert len(result.energies) == 20
     assert per_level <= 2.3
+
+
+@contextlib.contextmanager
+def _recorded_sweeps():
+    """The energies of the shooting sweeps made inside the block."""
+    energies = []
+    shoot = schrodinger1d._shoot
+
+    def recorded(potential, energy, *args):
+        energies.append(energy)
+        return shoot(potential, energy, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schrodinger1d, "_shoot", recorded)
+        yield energies
+
+
+_WINDOW_Q = np.linspace(-10.0, 10.0, 1201)
+
+
+@pytest.mark.parametrize("potential, window, count", [
+    (Potential.harmonic(omega=1.1), (4.0 * 1.1, 8.0 * 1.1), 4),
+    (Potential.infinite_well(1.0), (0.0, 200.0), 6),
+    (Potential.tabulated(_WINDOW_Q, 0.5 * _WINDOW_Q**2), (0.0, 6.0), 6),
+], ids=["harmonic", "well", "tabulated"])
+def test_a_window_holding_max_count_levels_never_sweeps_its_top(potential, window, count):
+    # Every polish sweep lies strictly inside its level's count bracket, so
+    # the sweeps at the window's ends are the floor's and the top's; the
+    # last level asked for needs no count above it.
+    with _recorded_sweeps() as energies:
+        result = find_eigenvalues(potential, window, count)
+    assert len(result.energies) == count
+    assert [e for e in energies if not window[0] < e < window[1]] == [window[0]]
+
+
+def test_a_window_with_fewer_levels_sweeps_its_top_once():
+    with _recorded_sweeps() as energies:
+        result = find_eigenvalues(Potential.harmonic(), (0.0, 6.0), 64)
+    assert result.node_counts == tuple(range(6))
+    expected = np.array([harmonic_level(n) for n in range(6)])
+    assert np.abs(result.energies - expected).max() <= 1e-5
+    assert [e for e in energies if not 0.0 < e < 6.0] == [0.0, 6.0]
+
+
+def test_an_empty_window_is_found_empty_in_two_sweeps():
+    # Level 1 (E = 1.5) lies above the window, and its action guess says so.
+    with _recorded_sweeps() as energies, pytest.raises(NoEigenvalueInRange):
+        find_eigenvalues(Potential.harmonic(), (0.6, 1.4), 64)
+    assert len(energies) <= 2
 
 
 def _polish_tolerance(potential, grid, energies):
@@ -562,6 +628,29 @@ def test_newton_slope_matches_a_central_difference(potential, level, offset):
     w_hi, w_lo = (schrodinger1d._shoot(potential, energy + d, grid, v, im)[1]
                   for d in (1e-5, -1e-5))
     assert slope == pytest.approx(abs(w_hi - w_lo) / 2e-5, rel=0.05)
+
+
+_SLOPE_Q = np.linspace(-6.0, 6.0, 4001)
+
+
+@pytest.mark.parametrize("potential, grid, energies", [
+    (Potential.harmonic(), HARMONIC_GRID, (0.5, 2.5 + 1e-6, 7.3, 30.5 - 1e-3, 39.9)),
+    (Potential.infinite_well(1.0), WELL_GRID, (well_level(1) + 1e-6, 200.0, 1999.0)),
+    (Potential.tabulated(_SLOPE_Q, (_SLOPE_Q**2 - 4.0) ** 2 + 0.5 * _SLOPE_Q),
+     RealGrid(-6.0, 6.0, 4001), (-0.9, 0.3, 12.0, 35.0)),
+    # Every coefficient is 1.2 at E = 120 on 11 points: the marches there
+    # hold exact zero samples, the left one's last sample among them.
+    (Potential.infinite_well(1.0), RealGrid(0.0, 1.0, 11), (120.0 - 1e-7, 120.0, 120.0 + 1e-7)),
+], ids=["harmonic", "well", "asymmetric-double-well", "well-11-points"])
+def test_newton_slope_matches_the_log_form_sums(potential, grid, energies):
+    # The sums over samples scaled to their end sample against the same
+    # sums taken in log form, sweep by sweep.
+    v = potential.evaluate(grid.points())
+    for energy in energies:
+        marches = schrodinger1d._shoot(potential, energy, grid, v)[3]
+        slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
+        expected = log_form_match_slope(*marches, grid.spacing)
+        assert slope == pytest.approx(expected, rel=1e-12), energy
 
 
 _EDGE_Q = np.linspace(-6.0, 6.0, 2001)
