@@ -9,6 +9,7 @@ differences and the usable domain shrinks by two points at each edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,13 +43,31 @@ class RealGrid:
             raise GridTooSmall(
                 f"grid needs at least {MIN_POINTS} points, got {self.n_points}"
             )
+        # The Numerov coefficients square the spacing, and a potential such as
+        # q^2 sampled on a grid through 0 squares up to the span: both must stay
+        # finite.
+        span = self.q_max - self.q_min
+        if not math.isfinite(span * span):
+            raise ValueError(f"grid span q_max - q_min = {span:.3g} squared leaves the "
+                             "float range")
 
     @property
     def spacing(self) -> float:
         return (self.q_max - self.q_min) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.n_points)
+        """The n points, each half counted from its own end: q_min + i h (as
+        np.linspace builds them) up to the centre, q_max - (n - 1 - i) h past
+        it, and (q_min + q_max)/2 at the centre of an odd count.  Both ends
+        are exact, every point lies within a few ulps of max(|q_min|,
+        |q_max|) of np.linspace's, and a grid symmetric about 0 is exactly
+        odd, so an even potential samples exactly mirror-symmetric."""
+        n, half = self.n_points, self.n_points // 2
+        steps = self.spacing * np.arange(n - half)
+        q = np.concatenate([self.q_min + steps, self.q_max - steps[half - 1::-1]])
+        if n % 2:
+            q[half] = 0.5 * self.q_min + 0.5 * self.q_max
+        return q
 
     def interior(self, trim: int) -> "RealGrid":
         """Grid with `trim` points removed from each edge (same spacing)."""

@@ -8,16 +8,20 @@ overflows, and every node is one negative ratio.  Bound states of
 confining potentials are located by shooting: one sweep of decaying
 solutions inward from both edges to the rightmost turning point yields the
 number of levels below the trial energy (a Sturm count) and a pole-free
-match.  Each level starts from the classical action quantization
-(1/pi hbar) int p dq = n + 1/2 and is polished by Newton steps on the
-match, whose energy derivative the sweep itself yields (Cooley's
-corrector on the Numerov recurrence); the Sturm count sets each step's
-direction and bisects wherever a step would leave the level's count
-bracket.  Newton converges quadratically there, so two Newton sweeps in a
-row predict the step after them; where that predicted step passes the
-stop test, the polish ends on the second sweep's trial energy without
-sweeping it.  Every sweep of one search reads the potential sampled once
-on the grid, and the window's top only where a count bracket needs it.
+match.  Where the sampled potential is exactly its own mirror image (an
+even potential on a grid symmetric about 0, a hard-wall well), the sweep
+matches at the grid centre and marches only from the left edge: the march
+from the right edge is a prefix of that one, bit for bit.  Each level
+starts from the classical action quantization (1/pi hbar) int p dq =
+n + 1/2 and is polished by Newton steps on the match, whose energy
+derivative the sweep itself yields (Cooley's corrector on the Numerov
+recurrence); the Sturm count sets each step's direction and bisects
+wherever a step would leave the level's count bracket.  Newton converges
+quadratically there, so two Newton sweeps in a row predict the step after
+them; where that predicted step passes the stop test, the polish ends on
+the second sweep's trial energy without sweeping it.  Every sweep of one
+search reads the potential sampled once on the grid, and the window's top
+only where a count bracket needs it.
 Each level's eigenfunction is spliced from the marches of its last sweep,
 each over its end sample, or, at an unswept trial, from those of its last
 two sweeps extrapolated linearly in energy to it, with no further march.
@@ -149,11 +153,16 @@ class Potential:
         return self.kind == "infinite_well"
 
     def evaluate(self, q: np.ndarray) -> np.ndarray:
+        """V at the points ``q``; ValueError where an analytic V overflows."""
         q = np.asarray(q, dtype=float)
-        if self.kind == "harmonic":
-            return 0.5 * self.mass * self.omega**2 * q * q
-        if self.kind == "linear":
-            return self.slope * q
+        if self.kind in ("harmonic", "linear"):
+            with np.errstate(over="ignore"):
+                v = (0.5 * self.mass * self.omega**2 * q * q if self.kind == "harmonic"
+                     else self.slope * q)
+            if not np.isfinite(v).all():
+                raise ValueError(f"the {self.kind} potential leaves the float range at "
+                                 f"|q| = {np.abs(q).max():.3g}")
+            return v
         if self.kind in ("free", "infinite_well"):
             return np.zeros_like(q)
         pad = 1e-9 * (self.table_q[-1] - self.table_q[0])
@@ -272,7 +281,10 @@ def _coefficients(potential: Potential, energy: float, grid: RealGrid,
     """Numerov coefficients c_i = 1 + h^2 g_i / 12 over the sampled potential.
     A coefficient c_i <= 0 (a spacing of at least sqrt(12) decay lengths)
     raises GridTooSmall."""
-    c = 1.0 + grid.spacing**2 / 12.0 * (2.0 * potential.mass / potential.hbar**2) * (energy - v)
+    # Python float products, not **: a float power past the range raises
+    # OverflowError, a product gives inf.
+    h, hbar = grid.spacing, potential.hbar
+    c = 1.0 + h * h / 12.0 * (2.0 * potential.mass / (hbar * hbar)) * (energy - v)
     low = c.min()
     if low <= 0.0:
         raise GridTooSmall(f"a Numerov coefficient 1 + h^2 g/12 is {float(low):.3g} <= 0: "
@@ -403,7 +415,8 @@ def _decay_seeds(potential: Potential, energy: float, grid: RealGrid, v: np.ndar
 
 
 def _matching_index(v: np.ndarray, energy: float) -> int:
-    """Rightmost classical turning point's index; grid midpoint if none."""
+    """Rightmost classical turning point's index; grid midpoint if none.
+    A mirror-symmetric search does not use it: it matches at the centre."""
     w = v - energy
     crossings = np.nonzero(w[:-1] * w[1:] <= 0.0)[0]
     index = int(crossings[-1]) if len(crossings) else len(v) // 2
@@ -411,11 +424,14 @@ def _matching_index(v: np.ndarray, energy: float) -> int:
 
 
 def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid) -> float:
-    """The match w of :func:`find_eigenvalues`'s sweep at ``energy``: the
-    Casoratian of the edge-decaying solutions (positive at their edges) at
-    the rightmost turning point (grid midpoint if none), both tails scaled to
-    unit length.  It is the sine of the angle between the tails, so it lies
-    in [-1, 1], has no poles, and vanishes exactly at the levels."""
+    """The match w of one two-march sweep at ``energy``: the Casoratian of
+    the edge-decaying solutions (positive at their edges) at the rightmost
+    turning point (grid midpoint if none), both tails scaled to unit length.
+    It is the sine of the angle between the tails, so it lies in [-1, 1],
+    has no poles, and vanishes exactly at the levels.  It is the match
+    :func:`find_eigenvalues` polishes on any potential whose samples are not
+    mirror-symmetric; on those that are, the search matches at the grid
+    centre instead."""
     return _shoot(potential, energy, grid)[1]
 
 
@@ -432,25 +448,31 @@ def _end(ratios: np.ndarray) -> tuple[int, float, float]:
 
 
 def _shoot(potential: Potential, energy: float, grid: RealGrid,
-           v: np.ndarray | None = None, im: int | None = None):
+           v: np.ndarray | None = None, im: int | None = None, mirror: bool = False):
     """One sweep: (levels below ``energy``, match w, matching index im, and
     the two marches as (ratios, y0, y1) of a and of b).
 
     ``v`` is the potential sampled on the grid (sampled here if not given).
     Decaying solutions a (marched to im+1) and b (down to im) meet at the
-    rightmost turning point unless ``im`` is given.  w is their Casoratian
-    at (im, im+1), written cancellation-free and scaled to the sine of the
-    angle between them, so it is pole-free and smooth in energy at fixed
-    im.  The Sturm count (a's sign changes up to im, b's from im on, plus
-    one when b1/b0 > a1/a0) does not depend on im."""
+    rightmost turning point unless ``im`` is given.  ``mirror`` says that
+    ``v`` equals its mirror image exactly; then so do c and the two edge
+    seeds, a and b meet at the grid centre im = (n - 1)//2, and b's march
+    from the right edge is bit for bit the first n - im - 1 ratios of a's,
+    so one march serves both.  w is their Casoratian at (im, im+1), written
+    cancellation-free and scaled to the sine of the angle between them, so
+    it is pole-free and smooth in energy at fixed im.  The Sturm count (a's
+    sign changes up to im, b's from im on, plus one when b1/b0 > a1/a0) does
+    not depend on im."""
     if v is None:
         v = potential.evaluate(grid.points())
     c = _coefficients(potential, energy, grid, v)
-    if im is None:
+    if mirror:
+        im = (len(v) - 1) // 2
+    elif im is None:
         im = _matching_index(v, energy)
     seed_l, seed_r = _decay_seeds(potential, energy, grid, v)
     left = _ratios(c[: im + 2], *seed_l)
-    right = _ratios(c[im:][::-1], *seed_r)
+    right = left[: len(v) - im - 1] if mirror else _ratios(c[im:][::-1], *seed_r)
     # Unit tails up to the signs (-1)^nl and (-1)^nr of a0 and b1.
     nl, a0, a1 = _end(left)
     nr, b1, b0 = _end(right)
@@ -601,9 +623,11 @@ def find_eigenvalues(
     action does not reach it there).  Each sweep then takes one Newton step
     |w|/|dw/dE| toward the level, the way its count points (up at count k,
     down at k + 1); the matching point stays where the first sweep counting
-    k or k + 1 put it.  A step off the count bracket, a count other than k
-    or k + 1, or a sweep nearer another root of w bisects the bracket
-    instead, so the counts alone decide every level.  The window's top is
+    k or k + 1 put it, or, on samples of the potential that equal their
+    mirror image exactly (decided once per call), at the grid centre, where
+    one march stands for both (see :func:`_shoot`).  A step off the count
+    bracket, a count other than k or k + 1, or a sweep nearer another root
+    of w bisects the bracket instead, so the counts alone decide every level.  The window's top is
     swept only when a bracket needs its count (a guess outside it, a
     bisection or a step reaching the top), and the search ends once the top
     counts at most k levels.  The polish stops at the sweep whose step is
@@ -659,8 +683,10 @@ def find_eigenvalues(
     resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
     doublet = ("two levels near E = %r lie closer than float spacing or than the grid's "
                f"energy resolution {resolution:.1e}; the grid cannot separate them")
-    # Every sweep reads the sampled v; the table keeps each sweep's count.
-    counts = {e_lo: _shoot(potential, e_lo, grid, v)[0]}
+    # Every sweep reads the sampled v, and marches once where v is its own
+    # mirror image; the table keeps each sweep's count.
+    mirror = bool(np.array_equal(v, v[::-1]))
+    counts = {e_lo: _shoot(potential, e_lo, grid, v, None, mirror)[0]}
 
     def bracket(k):  # the window's top bounds level k until a sweep counts more than k
         return (max(e for e, count in counts.items() if count <= k),
@@ -668,7 +694,7 @@ def find_eigenvalues(
 
     def beyond_top(k):  # whether level k lies above the window; the top is swept once
         if search_hi not in counts:
-            counts[search_hi] = _shoot(potential, search_hi, grid, v)[0]
+            counts[search_hi] = _shoot(potential, search_hi, grid, v, None, mirror)[0]
         return counts[search_hi] <= k
 
     energies, functions = [], []
@@ -684,7 +710,7 @@ def find_eigenvalues(
             energy = 0.5 * (lo + hi)
         im = last = None  # last: (energy, w, step, sides) of the last Newton sweep
         for _ in range(_LEVEL_MAX_ITER):
-            count, w, at, marches = _shoot(potential, energy, grid, v, im)
+            count, w, at, marches = _shoot(potential, energy, grid, v, im, mirror)
             counts[energy] = count
             lo, hi = bracket(k)
             # Level k lies above (count k) or below (count k + 1), within the

@@ -189,6 +189,29 @@ def test_huge_well_trajectory_reports_overflow(capsys, length):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("trajectory", "--potential", "harmonic", "--energy", "2", "--grid=-1e200:1e200:11"),
+    ("spectrum", "--potential", "harmonic", "--range", "0:5", "--grid=-1e300:1e300:101"),
+    ("spectrum", "--potential", "harmonic:w=1e100", "--range", "0:5", "--grid=-1e100:1e100:101"),
+    ("spectrum", "--potential", "harmonic:w=1e154", "--range", "0:5"),
+    ("trajectory", "--potential", "linear:a=1e307", "--energy", "1"),
+], ids=["trajectory-huge-grid", "spectrum-huge-grid", "spectrum-huge-potential",
+        "spectrum-huge-omega", "trajectory-huge-slope"])
+def test_a_grid_or_potential_past_the_float_range_is_a_usage_error(argv):
+    # Refused where the grid is parsed or the potential sampled, not met as
+    # an OverflowError from the squared spacing or an overflow warning from
+    # the potential.  A fresh process, because pytest would capture a
+    # warning off stderr.
+    src = str(Path(qmkit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "qmkit", *argv], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    assert "float range" in done.stderr
+
+
 @pytest.mark.parametrize("argv, unused", [
     (["spectrum", "--potential", "harmonic", "--range", "0:3"], ["qmkit.saqm", "qmkit.qshje"]),
     (["audit", "counting"], ["qmkit.schrodinger1d", "qmkit.qshje"]),

@@ -111,6 +111,24 @@ def test_grid_rejects_degenerate_and_tiny_shapes():
         RealGrid(0.0, 1.0, 5)
 
 
+@pytest.mark.parametrize("q_min, q_max, n", [
+    (-10.0, 10.0, 4001), (-10.0, 10.0, 4000), (-6.0, 6.0, 4001), (-1.0, 1.0, 9),
+    (-1.0, 1.0, 10), (0.0, 1.0, 2001), (0.0, 1.0, 2000), (-7.5, 2.25, 1001),
+])
+def test_grid_points_keep_their_ends_and_are_odd_on_a_symmetric_grid(q_min, q_max, n):
+    q = RealGrid(q_min, q_max, n).points()
+    assert q[0] == q_min and q[-1] == q_max
+    assert np.abs(q - np.linspace(q_min, q_max, n)).max() <= 2.0 * math.ulp(max(-q_min, q_max))
+    if q_min == -q_max:  # then an even potential samples exactly mirror-symmetric
+        assert np.array_equal(q, -q[::-1])
+
+
+@pytest.mark.parametrize("q_min, q_max", [(-1e200, 1e200), (1e154, 2.5e154)])
+def test_grid_rejects_a_span_whose_square_overflows(q_min, q_max):
+    with pytest.raises(ValueError, match="float range"):
+        RealGrid(q_min, q_max, 11)
+
+
 # ---------------------------------------------------------------------------
 # numerov_integrate
 
@@ -700,13 +718,9 @@ def test_action_guess_solves_the_trapezoid_action(potential, grid, top):
         assert abs(action - (k + maslov)) <= schrodinger1d._GUESS_TOL, k
 
 
-@pytest.mark.parametrize("potential, window", [(Potential.harmonic(), (0.0, 40.0)),
-                                               (Potential.infinite_well(1.0), (0.0, 60.0))],
-                         ids=["harmonic", "well"])
-def test_each_sweep_marches_twice_and_the_potential_is_sampled_once(potential, window):
-    # Two marches per sweep and none after it: every eigenfunction comes
-    # from the polish sweep at its level, and every sweep reads the one
-    # sample of the potential that find_eigenvalues takes.
+def _solve_counting_calls(potential, window, grid=None):
+    """find_eigenvalues' result over ``window`` (up to 64 levels) and its
+    calls of _shoot, _ratios and Potential.evaluate."""
     calls = {"_shoot": 0, "_ratios": 0, "evaluate": 0}
 
     def counting(name, function):
@@ -719,10 +733,106 @@ def test_each_sweep_marches_twice_and_the_potential_is_sampled_once(potential, w
         for name in ("_shoot", "_ratios"):
             patch.setattr(schrodinger1d, name, counting(name, getattr(schrodinger1d, name)))
         patch.setattr(Potential, "evaluate", counting("evaluate", Potential.evaluate))
-        result = find_eigenvalues(potential, window, 64)
+        result = find_eigenvalues(potential, window, 64, grid)
+    return result, calls
+
+
+@pytest.mark.parametrize("potential, window, marches", [
+    (Potential.harmonic(), (0.0, 40.0), 1),
+    (Potential.infinite_well(1.0), (0.0, 60.0), 1),
+    (Potential.tabulated(_DOUBLE_801, (_DOUBLE_801**2 - 4.0) ** 2 + 0.5 * _DOUBLE_801),
+     (-5.0, 40.0), 2),
+], ids=["harmonic", "well", "asymmetric-double-well"])
+def test_a_sweep_marches_once_on_mirror_symmetric_samples_and_twice_otherwise(
+        potential, window, marches):
+    # One march per sweep where the sampled potential is its own mirror
+    # image, two elsewhere, and none after the polish: every eigenfunction
+    # comes from the polish sweeps at its level, and every sweep reads the
+    # one sample of the potential that find_eigenvalues takes.
+    result, calls = _solve_counting_calls(potential, window)
     assert len(result.energies) >= 3
-    assert calls["_ratios"] == 2 * calls["_shoot"]
+    assert calls["_ratios"] == marches * calls["_shoot"]
     assert calls["evaluate"] == 1
+
+
+@pytest.mark.parametrize("energy", [0.7, 5.5, 23.2])
+@pytest.mark.parametrize("potential, grid", [
+    (Potential.harmonic(), RealGrid(-10.0, 10.0, 4001)),
+    (Potential.harmonic(), RealGrid(-10.0, 10.0, 4000)),
+    (Potential.infinite_well(1.0), RealGrid(0.0, 1.0, 2001)),
+    (Potential.infinite_well(1.0), RealGrid(0.0, 1.0, 2000)),
+], ids=["harmonic-odd", "harmonic-even", "well-odd", "well-even"])
+def test_a_mirror_sweep_reads_the_right_march_off_the_left_one(potential, grid, energy):
+    # On mirror-symmetric samples the march in from the right edge is bit
+    # for bit a prefix of the one in from the left (on an even count, all
+    # of it), so one march gives the two-march sweep at the centre.
+    v = potential.evaluate(grid.points())
+    centre = (grid.n_points - 1) // 2
+    mirrored = schrodinger1d._shoot(potential, energy, grid, v, mirror=True)
+    marched = schrodinger1d._shoot(potential, energy, grid, v, centre)
+    assert mirrored[:3] == marched[:3]
+    for (ratios, *seed), (expected, *expected_seed) in zip(mirrored[3], marched[3]):
+        assert np.array_equal(ratios, expected) and seed == expected_seed
+
+
+def _nudged(v):
+    """``v`` with its last sample one ulp higher: no longer its own mirror
+    image, so find_eigenvalues takes its two-march path."""
+    v = np.array(v, dtype=float)
+    v[-1] = np.nextafter(v[-1], np.inf)
+    return v
+
+
+_MIRROR_SHAPES = pytest.mark.parametrize(
+    "shape", [lambda q: (q * q - 4.0) ** 2, lambda q: 3.0 * (q * q - 2.0) ** 2],
+    ids=["deep-double-well", "shallow-double-well"])
+
+
+@_MIRROR_SHAPES
+def test_a_mirror_symmetric_table_gives_the_two_march_levels(shape):
+    grid = RealGrid(-6.0, 6.0, 4001)
+    q = grid.points()
+    result, calls = _solve_counting_calls(Potential.tabulated(q, shape(q)), (0.0, 40.0))
+    assert calls["_ratios"] == calls["_shoot"]
+    potential = Potential.tabulated(q, _nudged(shape(q)))
+    reference, calls = _solve_counting_calls(potential, (0.0, 40.0))
+    assert calls["_ratios"] == 2 * calls["_shoot"]
+    assert result.node_counts == reference.node_counts == tuple(range(len(result.energies)))
+    tolerance = _polish_tolerance(potential, grid, reference.energies)
+    assert np.all(np.abs(result.energies - reference.energies) <= tolerance)
+
+
+@_MIRROR_SHAPES
+def test_a_mirror_symmetric_table_matches_the_matrix_numerov_oracle(shape):
+    grid = RealGrid(-6.0, 6.0, 801)
+    potential = Potential.tabulated(grid.points(), shape(grid.points()))
+    result, calls = _solve_counting_calls(potential, (0.0, 40.0), grid)
+    assert calls["_ratios"] == calls["_shoot"]
+    levels = matrix_numerov_levels(potential.evaluate(grid.points()), grid.spacing)
+    oracle = levels[(levels > 0.0) & (levels < 40.0)]
+    assert len(result.energies) == len(oracle) >= 12
+    # The bound of test_levels_match_the_matrix_numerov_oracle.
+    tolerance = (_polish_tolerance(potential, grid, result.energies)
+                 + 4.0 * np.finfo(float).eps * np.abs(levels).max())
+    assert np.all(np.abs(result.energies - oracle) <= tolerance)
+
+
+@pytest.mark.parametrize("potential, window, grid", [
+    (Potential.harmonic(), (0.0, 40.0), RealGrid(-10.0, 10.0, 4000)),
+    (Potential.infinite_well(1.0), (0.0, 2000.0), RealGrid(0.0, 1.0, 2000)),
+], ids=["harmonic", "well"])
+def test_an_even_point_grid_gives_the_two_march_levels(potential, window, grid, monkeypatch):
+    # The centre index (n - 1)//2 of an even count leaves the right march
+    # the whole of the left one.
+    result, calls = _solve_counting_calls(potential, window, grid)
+    assert calls["_ratios"] == calls["_shoot"]
+    evaluate = Potential.evaluate
+    monkeypatch.setattr(Potential, "evaluate", lambda self, q: _nudged(evaluate(self, q)))
+    reference, calls = _solve_counting_calls(potential, window, grid)
+    assert calls["_ratios"] == 2 * calls["_shoot"]
+    assert result.node_counts == reference.node_counts == tuple(range(len(result.energies)))
+    tolerance = _polish_tolerance(potential, grid, reference.energies)
+    assert np.all(np.abs(result.energies - reference.energies) <= tolerance)
 
 
 def _far_guess(potential, v, grid, quanta, lo, hi):
