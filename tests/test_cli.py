@@ -197,7 +197,7 @@ def test_huge_well_trajectory_reports_overflow(capsys, length):
     ("trajectory", "--potential", "linear:a=1e307", "--energy", "1"),
 ], ids=["trajectory-huge-grid", "spectrum-huge-grid", "spectrum-huge-potential",
         "spectrum-huge-omega", "trajectory-huge-slope"])
-def test_a_grid_or_potential_past_the_float_range_is_a_usage_error(argv):
+def test_a_huge_grid_or_potential_is_a_usage_error(argv):
     # Refused where the grid is parsed or the potential sampled, not met as
     # an OverflowError from the squared spacing or an overflow warning from
     # the potential.  A fresh process, because pytest would capture a

@@ -115,7 +115,7 @@ def test_grid_rejects_degenerate_and_tiny_shapes():
     (-10.0, 10.0, 4001), (-10.0, 10.0, 4000), (-6.0, 6.0, 4001), (-1.0, 1.0, 9),
     (-1.0, 1.0, 10), (0.0, 1.0, 2001), (0.0, 1.0, 2000), (-7.5, 2.25, 1001),
 ])
-def test_grid_points_keep_their_ends_and_are_odd_on_a_symmetric_grid(q_min, q_max, n):
+def test_grid_points_keep_ends_and_are_odd_when_symmetric(q_min, q_max, n):
     q = RealGrid(q_min, q_max, n).points()
     assert q[0] == q_min and q[-1] == q_max
     assert np.abs(q - np.linspace(q_min, q_max, n)).max() <= 2.0 * math.ulp(max(-q_min, q_max))
@@ -743,8 +743,7 @@ def _solve_counting_calls(potential, window, grid=None):
     (Potential.tabulated(_DOUBLE_801, (_DOUBLE_801**2 - 4.0) ** 2 + 0.5 * _DOUBLE_801),
      (-5.0, 40.0), 2),
 ], ids=["harmonic", "well", "asymmetric-double-well"])
-def test_a_sweep_marches_once_on_mirror_symmetric_samples_and_twice_otherwise(
-        potential, window, marches):
+def test_one_march_a_sweep_on_mirror_samples_else_two(potential, window, marches):
     # One march per sweep where the sampled potential is its own mirror
     # image, two elsewhere, and none after the polish: every eigenfunction
     # comes from the polish sweeps at its level, and every sweep reads the
@@ -762,7 +761,7 @@ def test_a_sweep_marches_once_on_mirror_symmetric_samples_and_twice_otherwise(
     (Potential.infinite_well(1.0), RealGrid(0.0, 1.0, 2001)),
     (Potential.infinite_well(1.0), RealGrid(0.0, 1.0, 2000)),
 ], ids=["harmonic-odd", "harmonic-even", "well-odd", "well-even"])
-def test_a_mirror_sweep_reads_the_right_march_off_the_left_one(potential, grid, energy):
+def test_mirror_sweep_reads_the_right_march_off_the_left(potential, grid, energy):
     # On mirror-symmetric samples the march in from the right edge is bit
     # for bit a prefix of the one in from the left (on an even count, all
     # of it), so one march gives the two-march sweep at the centre.
@@ -789,7 +788,7 @@ _MIRROR_SHAPES = pytest.mark.parametrize(
 
 
 @_MIRROR_SHAPES
-def test_a_mirror_symmetric_table_gives_the_two_march_levels(shape):
+def test_a_mirror_table_gives_the_two_march_levels(shape):
     grid = RealGrid(-6.0, 6.0, 4001)
     q = grid.points()
     result, calls = _solve_counting_calls(Potential.tabulated(q, shape(q)), (0.0, 40.0))
@@ -803,7 +802,7 @@ def test_a_mirror_symmetric_table_gives_the_two_march_levels(shape):
 
 
 @_MIRROR_SHAPES
-def test_a_mirror_symmetric_table_matches_the_matrix_numerov_oracle(shape):
+def test_a_mirror_table_matches_the_matrix_oracle(shape):
     grid = RealGrid(-6.0, 6.0, 801)
     potential = Potential.tabulated(grid.points(), shape(grid.points()))
     result, calls = _solve_counting_calls(potential, (0.0, 40.0), grid)
