@@ -10,8 +10,12 @@ solutions inward from both edges to the rightmost turning point yields the
 number of levels below the trial energy (a Sturm count) and a pole-free
 match.  Where the sampled potential is exactly its own mirror image (an
 even potential on a grid symmetric about 0, a hard-wall well), the sweep
-matches at the grid centre and marches only from the left edge: the march
-from the right edge is a prefix of that one, bit for bit.  Each level
+matches at the grid centre.  Wherever the edge seeds are equal and the
+Numerov coefficients of the march in from the right edge mirror those of
+the march in from the left, at the centre or at a turning point right of
+it, the sweep marches only from the left edge: the right march is a prefix
+of that one, bit for bit, and so are its samples over their end sample,
+up to one scale factor.  Each level
 starts from the classical action quantization (1/pi hbar) int p dq =
 n + 1/2 and is polished by Newton steps on the match, whose energy
 derivative the sweep itself yields (Cooley's corrector on the Numerov
@@ -424,14 +428,16 @@ def _matching_index(v: np.ndarray, energy: float) -> int:
 
 
 def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid) -> float:
-    """The match w of one two-march sweep at ``energy``: the Casoratian of
-    the edge-decaying solutions (positive at their edges) at the rightmost
+    """The match w of one sweep at ``energy``: the Casoratian of the
+    edge-decaying solutions (positive at their edges) at the rightmost
     turning point (grid midpoint if none), both tails scaled to unit length.
     It is the sine of the angle between the tails, so it lies in [-1, 1],
-    has no poles, and vanishes exactly at the levels.  It is the match
-    :func:`find_eigenvalues` polishes on any potential whose samples are not
-    mirror-symmetric; on those that are, the search matches at the grid
-    centre instead."""
+    has no poles, and vanishes exactly at the levels.  The sweep marches
+    once where the coefficients of its right march mirror those of its
+    left (see :func:`_shoot`), twice elsewhere, with the same w.  It is the
+    match :func:`find_eigenvalues` polishes on any potential whose samples
+    are not mirror-symmetric; on those that are, the search matches at the
+    grid centre instead."""
     return _shoot(potential, energy, grid)[1]
 
 
@@ -454,11 +460,14 @@ def _shoot(potential: Potential, energy: float, grid: RealGrid,
 
     ``v`` is the potential sampled on the grid (sampled here if not given).
     Decaying solutions a (marched to im+1) and b (down to im) meet at the
-    rightmost turning point unless ``im`` is given.  ``mirror`` says that
-    ``v`` equals its mirror image exactly; then so do c and the two edge
-    seeds, a and b meet at the grid centre im = (n - 1)//2, and b's march
-    from the right edge is bit for bit the first n - im - 1 ratios of a's,
-    so one march serves both.  w is their Casoratian at (im, im+1), written
+    rightmost turning point unless ``im`` is given, or at the grid centre
+    im = (n - 1)//2 where ``mirror`` says that ``v`` equals its mirror image
+    exactly.  b's march reads only the coefficients c[im:] reversed and its
+    seed, so where the two edge seeds are equal, im >= (n - 1)//2 and
+    c[im:][::-1] equals c[:n - im] exactly (always so on mirror samples,
+    and in most turning-point sweeps of a nearly even table), it is bit for
+    bit the first n - im - 1 ratios of a's: b is taken as that prefix view
+    and one march serves both.  w is their Casoratian at (im, im+1), written
     cancellation-free and scaled to the sine of the angle between them, so
     it is pole-free and smooth in energy at fixed im.  The Sturm count (a's
     sign changes up to im, b's from im on, plus one when b1/b0 > a1/a0) does
@@ -466,13 +475,18 @@ def _shoot(potential: Potential, energy: float, grid: RealGrid,
     if v is None:
         v = potential.evaluate(grid.points())
     c = _coefficients(potential, energy, grid, v)
+    n = len(v)
     if mirror:
-        im = (len(v) - 1) // 2
+        im = (n - 1) // 2
     elif im is None:
         im = _matching_index(v, energy)
     seed_l, seed_r = _decay_seeds(potential, energy, grid, v)
     left = _ratios(c[: im + 2], *seed_l)
-    right = left[: len(v) - im - 1] if mirror else _ratios(c[im:][::-1], *seed_r)
+    if mirror or (seed_l == seed_r and im >= (n - 1) // 2
+                  and np.array_equal(c[im:][::-1], c[: n - im])):
+        right = left[: n - im - 1]
+    else:
+        right = _ratios(c[im:][::-1], *seed_r)
     # Unit tails up to the signs (-1)^nl and (-1)^nr of a0 and b1.
     nl, a0, a1 = _end(left)
     nr, b1, b0 = _end(right)
@@ -533,7 +547,11 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     y0, y1) of a and b: |dw/dE| at fixed im, the cosine of the angle between
     the tails (a_im, a_im+1) and (b_im, b_im+1) of the edge-positive
     solutions, and each march as (t, factors) of :func:`_end_scaled`, in
-    march order.
+    march order.  Where b's ratios are a prefix view of a's (see
+    :func:`_shoot`), b's pair is a's rescaled, (t_a[:m + 1]/t_a[m],
+    factors_a[:m]) over its m ratios, without a second product: equal to
+    b's own up to the roundoff of the products, unless t_a[m] is zero or
+    subnormal, where b's is built afresh.
 
     With z_i = c_i y_i the Numerov recurrence gives C_i - C_{i-1} =
     -K y_i^2, K = 2 m h^2/hbar^2, for C_i = z_i dz_{i+1}/dE - z_{i+1}
@@ -552,7 +570,12 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     its tail (t_{n-2}, t_{n-1}) scales it to unit length."""
     weight, tails, sides = 0.0, [], []
     for ratios, y0, y1 in (left, right):
-        t, factors = _end_scaled(ratios)
+        m = len(ratios)
+        if sides and ratios.base is left[0] and abs(sides[0][0][m]) >= sys.float_info.min:
+            t_a, f_a = sides[0]  # b's march is a prefix of a's: rescale a's product
+            t, factors = t_a[: m + 1] / t_a[m], f_a[:m]
+        else:
+            t, factors = _end_scaled(ratios)
         first, p, q = float(ratios[0]), float(t[-2]), float(t[-1])
         squares = float(t[:-1] @ t[:-1])
         if y0 and first > 1.0:  # a decaying seed: its sample's square becomes -C_0/K
@@ -624,8 +647,10 @@ def find_eigenvalues(
     |w|/|dw/dE| toward the level, the way its count points (up at count k,
     down at k + 1); the matching point stays where the first sweep counting
     k or k + 1 put it, or, on samples of the potential that equal their
-    mirror image exactly (decided once per call), at the grid centre, where
-    one march stands for both (see :func:`_shoot`).  A step off the count
+    mirror image exactly (decided once per call), at the grid centre.  A
+    sweep whose right march reads the mirror image of its left march's
+    coefficients, there or at a turning point right of the centre, marches
+    once (see :func:`_shoot`).  A step off the count
     bracket, a count other than k or k + 1, or a sweep nearer another root
     of w bisects the bracket instead, so the counts alone decide every level.  The window's top is
     swept only when a bracket needs its count (a guess outside it, a
@@ -674,7 +699,7 @@ def find_eigenvalues(
                                   "minimum and is confined on this grid")
     h = grid.spacing
     kappa = math.sqrt(2.0 * potential.mass * max(float(v.max()) - e_lo, 0.0)) / potential.hbar
-    if 1.0 - (h * kappa) ** 2 / 12.0 <= 0.0:  # the smallest Numerov coefficient at the floor
+    if 1.0 - h * kappa * (h * kappa) / 12.0 <= 0.0:  # the smallest Numerov coefficient at the floor
         raise GridTooSmall(f"grid spacing h = {h:.3g} is at least sqrt(12) times the shortest "
                            f"decay length {1.0 / kappa:.3g} at E = {e_lo!r}; the grid "
                            "cannot represent a decaying tail")
@@ -683,8 +708,8 @@ def find_eigenvalues(
     resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
     doublet = ("two levels near E = %r lie closer than float spacing or than the grid's "
                f"energy resolution {resolution:.1e}; the grid cannot separate them")
-    # Every sweep reads the sampled v, and marches once where v is its own
-    # mirror image; the table keeps each sweep's count.
+    # Every sweep reads the sampled v, and matches at the centre where v is
+    # its own mirror image; the table keeps each sweep's count.
     mirror = bool(np.array_equal(v, v[::-1]))
     counts = {e_lo: _shoot(potential, e_lo, grid, v, None, mirror)[0]}
 
@@ -869,13 +894,16 @@ def solution_pair(potential: Potential, energy: float, grid: RealGrid) -> Soluti
     """
     h = grid.spacing
     sampled = potential.evaluate(grid.points())
-    g = _g_values(potential, energy, sampled)
-    c = _coefficients(potential, energy, grid, sampled)
-    i0, kappa, _ = _launch(g, grid)
-    u, v = (np.concatenate([_samples(_ratios(c[i0::-1], at, minus), at, minus)[:0:-1],
-                            _samples(_ratios(c[i0:], at, plus), at, plus)])
-            for at, (plus, minus) in ((1.0, _taylor_start(g, h, i0, 1.0, 0.0)),
-                                      (0.0, _taylor_start(g, h, i0, 0.0, kappa))))
+    # g or c past the float range reads inf: GridTooSmall where c is -inf,
+    # Overflow from _samples where the march is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _g_values(potential, energy, sampled)
+        c = _coefficients(potential, energy, grid, sampled)
+        i0, kappa, _ = _launch(g, grid)
+        u, v = (np.concatenate([_samples(_ratios(c[i0::-1], at, minus), at, minus)[:0:-1],
+                                _samples(_ratios(c[i0:], at, plus), at, plus)])
+                for at, (plus, minus) in ((1.0, _taylor_start(g, h, i0, 1.0, 0.0)),
+                                          (0.0, _taylor_start(g, h, i0, 0.0, kappa))))
     return pair_from_wavefunctions(Wavefunction(grid, u, energy), Wavefunction(grid, v, energy),
                                    potential)
 

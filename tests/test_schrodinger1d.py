@@ -719,14 +719,18 @@ def test_action_guess_solves_the_trapezoid_action(potential, grid, top):
 
 
 def _solve_counting_calls(potential, window, grid=None):
-    """find_eigenvalues' result over ``window`` (up to 64 levels) and its
-    calls of _shoot, _ratios and Potential.evaluate."""
-    calls = {"_shoot": 0, "_ratios": 0, "evaluate": 0}
+    """find_eigenvalues' result over ``window`` (up to 64 levels), its calls
+    of _shoot, _ratios and Potential.evaluate, and under "matched at" the
+    matching indices its sweeps took."""
+    calls = {"_shoot": 0, "_ratios": 0, "evaluate": 0, "matched at": set()}
 
     def counting(name, function):
         def counted(*args, **kwargs):
             calls[name] += 1
-            return function(*args, **kwargs)
+            result = function(*args, **kwargs)
+            if name == "_shoot":
+                calls["matched at"].add(result[2])
+            return result
         return counted
 
     with pytest.MonkeyPatch.context() as patch:
@@ -774,6 +778,108 @@ def test_mirror_sweep_reads_the_right_march_off_the_left(potential, grid, energy
         assert np.array_equal(ratios, expected) and seed == expected_seed
 
 
+_LINSPACE_Q = np.linspace(-10.0, 10.0, 1501)
+_LINSPACE_TABLE = Potential.tabulated(_LINSPACE_Q, 0.5 * _LINSPACE_Q**2)
+
+
+def _counted_sweep(energy, v, decay_seeds=schrodinger1d._decay_seeds,
+                   potential=_LINSPACE_TABLE, im=None):
+    """_shoot on the default grid (at the rightmost turning point unless
+    ``im`` is given), and its number of _ratios calls."""
+    calls = []
+    ratios = schrodinger1d._ratios
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schrodinger1d, "_ratios", lambda *args: calls.append(1) or ratios(*args))
+        patch.setattr(schrodinger1d, "_decay_seeds", decay_seeds)
+        sweep = schrodinger1d._shoot(potential, energy, potential.default_grid(), v, im)
+    return sweep, len(calls)
+
+
+def _listed_seeds(*args, decay_seeds=schrodinger1d._decay_seeds):
+    # The right seed as a list compares unequal to the left one, a tuple of
+    # the same values, so _shoot marches b although its coefficients mirror.
+    seed_l, seed_r = decay_seeds(*args)
+    return seed_l, list(seed_r)
+
+
+@pytest.mark.parametrize("energy", [0.7, 5.5, 23.2])
+def test_a_turning_point_sweep_whose_coefficients_mirror_marches_once(energy):
+    # The linspace table samples not quite evenly on the grid, so the search
+    # matches at the turning point, but its coefficients over the right
+    # march's span mirror the left's exactly: b is a prefix of a, bit for bit.
+    grid = _LINSPACE_TABLE.default_grid()
+    v = _LINSPACE_TABLE.evaluate(grid.points())
+    assert not np.array_equal(v, v[::-1])
+    once, calls = _counted_sweep(energy, v)
+    twice, two_calls = _counted_sweep(energy, v, _listed_seeds)
+    assert (calls, two_calls) == (1, 2)
+    assert once[2] > (grid.n_points - 1) // 2
+    assert once[:3] == twice[:3]
+    for (ratios, *seed), (expected, *expected_seed) in zip(once[3], twice[3]):
+        assert np.array_equal(ratios, expected) and seed == expected_seed
+
+
+def test_a_coefficient_off_its_mirror_brings_back_the_second_march():
+    # One sample right of the match, in b's span, nudged so its coefficient
+    # no longer equals its mirror's.
+    grid = _LINSPACE_TABLE.default_grid()
+    v = _LINSPACE_TABLE.evaluate(grid.points())
+    v[2900] *= 1.0 + 1e-9
+    c = schrodinger1d._coefficients(_LINSPACE_TABLE, 5.5, grid, v)
+    assert c[2900] != c[grid.n_points - 1 - 2900]
+    sweep, calls = _counted_sweep(5.5, v)
+    assert calls == 2
+    assert sweep[2] < 2900
+
+
+def test_a_match_left_of_the_centre_marches_twice():
+    # Left of the centre b's march is longer than a's, so no prefix of a's
+    # can stand for it, though the coefficients mirror.
+    potential = Potential.harmonic()
+    v = potential.evaluate(HARMONIC_GRID.points())
+    centre = (HARMONIC_GRID.n_points - 1) // 2
+    for im in (1800, centre - 1):
+        (_, _, _, (_, (right, *_))), calls = _counted_sweep(5.5, v, potential=potential, im=im)
+        assert calls == 2 and len(right) == HARMONIC_GRID.n_points - im - 1
+
+
+@pytest.mark.parametrize("potential, energy", [
+    (_LINSPACE_TABLE, 0.7), (_LINSPACE_TABLE, 23.2), (Potential.harmonic(), 5.5),
+    (Potential.infinite_well(1.0), 4.9), (Potential.infinite_well(1.0), 1973.9),
+], ids=["table-low", "table-high", "harmonic", "well-low", "well-high"])
+def test_a_prefix_side_rescales_the_left_product(potential, energy):
+    # t_a[:m + 1]/t_a[m] divides two products of a's factors where
+    # _end_scaled(b) takes one of b's: each sample carries at most about one
+    # ulp per factor from it to a's end on each side.
+    grid = potential.default_grid()
+    _, _, _, marches = schrodinger1d._shoot(potential, energy, grid)
+    (left, *_), (right, *_) = marches
+    assert right.base is left
+    _, _, _, (t, factors) = schrodinger1d._match_slope(potential, grid, *marches)
+    expected_t, expected_factors = schrodinger1d._end_scaled(right)
+    assert np.array_equal(factors, expected_factors)
+    factors_to_end = len(left) + 1 - np.arange(len(t))
+    assert np.all(np.abs(t - expected_t) <= 4.0 * factors_to_end * np.spacing(np.abs(expected_t)))
+
+
+def test_a_prefix_side_ending_on_a_zero_sample_is_scaled_afresh(monkeypatch):
+    # At E = 120 on 11 points the solution 0, 1, 0, -1, ... has a zero at
+    # every even sample.  Matched at im = 6, b's march ends on sample 4,
+    # where a's product over its end reads exactly 0: no scale to divide by.
+    grid = RealGrid(0.0, 1.0, 11)
+    well = Potential.infinite_well(1.0)
+    _, _, _, marches = schrodinger1d._shoot(well, 120.0, grid, None, 6)
+    (left, *_), (right, *_) = marches
+    assert right.base is left and len(right) == 4
+    end_scaled = schrodinger1d._end_scaled
+    scaled = []
+    monkeypatch.setattr(schrodinger1d, "_end_scaled", lambda r: scaled.append(r) or end_scaled(r))
+    _, _, (t_a, _), (t, factors) = schrodinger1d._match_slope(well, grid, *marches)
+    assert t_a[4] == 0.0 and len(scaled) == 2
+    expected_t, expected_factors = end_scaled(right)
+    assert np.array_equal(t, expected_t) and np.array_equal(factors, expected_factors)
+
+
 def _nudged(v):
     """``v`` with its last sample one ulp higher: no longer its own mirror
     image, so find_eigenvalues takes its two-march path."""
@@ -795,7 +901,7 @@ def test_a_mirror_table_gives_the_two_march_levels(shape):
     assert calls["_ratios"] == calls["_shoot"]
     potential = Potential.tabulated(q, _nudged(shape(q)))
     reference, calls = _solve_counting_calls(potential, (0.0, 40.0))
-    assert calls["_ratios"] == 2 * calls["_shoot"]
+    assert (grid.n_points - 1) // 2 not in calls["matched at"]
     assert result.node_counts == reference.node_counts == tuple(range(len(result.energies)))
     tolerance = _polish_tolerance(potential, grid, reference.energies)
     assert np.all(np.abs(result.energies - reference.energies) <= tolerance)
@@ -828,7 +934,7 @@ def test_an_even_point_grid_gives_the_two_march_levels(potential, window, grid, 
     evaluate = Potential.evaluate
     monkeypatch.setattr(Potential, "evaluate", lambda self, q: _nudged(evaluate(self, q)))
     reference, calls = _solve_counting_calls(potential, window, grid)
-    assert calls["_ratios"] == 2 * calls["_shoot"]
+    assert (grid.n_points - 1) // 2 not in calls["matched at"]
     assert result.node_counts == reference.node_counts == tuple(range(len(result.energies)))
     tolerance = _polish_tolerance(potential, grid, reference.energies)
     assert np.all(np.abs(result.energies - reference.energies) <= tolerance)
