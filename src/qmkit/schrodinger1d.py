@@ -454,36 +454,34 @@ def _end(ratios: np.ndarray) -> tuple[int, float, float]:
 
 
 def _shoot(potential: Potential, energy: float, grid: RealGrid,
-           v: np.ndarray | None = None, im: int | None = None, mirror: bool = False):
+           v: np.ndarray | None = None, im: int | None = None):
     """One sweep: (levels below ``energy``, match w, matching index im, and
     the two marches as (ratios, y0, y1) of a and of b).
 
     ``v`` is the potential sampled on the grid (sampled here if not given).
     Decaying solutions a (marched to im+1) and b (down to im) meet at the
-    rightmost turning point unless ``im`` is given, or at the grid centre
-    im = (n - 1)//2 where ``mirror`` says that ``v`` equals its mirror image
-    exactly.  b's march reads only the coefficients c[im:] reversed and its
-    seed, so where the two edge seeds are equal, im >= (n - 1)//2 and
-    c[im:][::-1] equals c[:n - im] exactly (always so on mirror samples,
-    and in most turning-point sweeps of a nearly even table), it is bit for
-    bit the first n - im - 1 ratios of a's: b is taken as that prefix view
-    and one march serves both.  w is their Casoratian at (im, im+1), written
-    cancellation-free and scaled to the sine of the angle between them, so
-    it is pole-free and smooth in energy at fixed im.  The Sturm count (a's
-    sign changes up to im, b's from im on, plus one when b1/b0 > a1/a0) does
-    not depend on im."""
+    rightmost turning point unless ``im`` is given (the grid centre
+    (n - 1)//2 where :func:`find_eigenvalues` finds ``v`` equal to its
+    mirror image).  b's march reads only the coefficients c[im:] reversed
+    and its seed, so where the two edge seeds are equal, im >= (n - 1)//2
+    and c[im:][::-1] equals c[:n - im] exactly (always so at the centre of
+    mirror samples, and in most turning-point sweeps of a nearly even
+    table), it is bit for bit the first n - im - 1 ratios of a's: b is
+    taken as that prefix view and one march serves both.  w is their
+    Casoratian at (im, im+1), written cancellation-free and scaled to the
+    sine of the angle between them, so it is pole-free and smooth in
+    energy at fixed im.  The Sturm count (a's sign changes up to im, b's
+    from im on, plus one when b1/b0 > a1/a0) does not depend on im."""
     if v is None:
         v = potential.evaluate(grid.points())
     c = _coefficients(potential, energy, grid, v)
     n = len(v)
-    if mirror:
-        im = (n - 1) // 2
-    elif im is None:
+    if im is None:
         im = _matching_index(v, energy)
     seed_l, seed_r = _decay_seeds(potential, energy, grid, v)
     left = _ratios(c[: im + 2], *seed_l)
-    if mirror or (seed_l == seed_r and im >= (n - 1) // 2
-                  and np.array_equal(c[im:][::-1], c[: n - im])):
+    if (seed_l == seed_r and im >= (n - 1) // 2
+            and np.array_equal(c[im:][::-1], c[: n - im])):
         right = left[: n - im - 1]
     else:
         right = _ratios(c[im:][::-1], *seed_r)
@@ -673,7 +671,10 @@ def find_eigenvalues(
     eigenfunction without k nodes raises NodeCountMismatch (the grid
     under-resolves it).  For soft potentials only energies classically
     forbidden at both grid edges are searchable; a window with no such
-    level raises NoEigenvalueInRange.
+    level raises NoEigenvalueInRange.  A top above the energy where the
+    smallest Numerov coefficient is 2, past which the grid holds no level
+    (between hard walls, where coefficients may otherwise overflow), is
+    lowered to it.
     The window's floor is raised to the potential's minimum on the grid,
     below which no level lies; a grid whose spacing there is at least
     sqrt(12) decay lengths (a Numerov coefficient <= 0) raises GridTooSmall.
@@ -694,10 +695,19 @@ def find_eigenvalues(
     if not potential.hard_wall:
         ceiling = float(min(v[0], v[-1]))
         search_hi = min(e_hi, ceiling - 1e-9 * max(1.0, abs(ceiling)))
+    # Where every Numerov coefficient exceeds 3/2, D_i < -2 and each march
+    # flips sign at every sample: the count is at its largest and no level
+    # lies higher.  A top past the energy where the smallest coefficient is
+    # 2 (whose coefficients may overflow) is lowered to it; a soft edge
+    # already keeps the top below it.
+    h = grid.spacing
+    scale = h * h / 12.0 * (2.0 * potential.mass / (potential.hbar * potential.hbar))
+    if scale:
+        search_hi = min(search_hi, float(v.max()) + 1.0 / scale)
     if search_hi <= e_lo:
         raise NoEigenvalueInRange("no energy in the window lies above the potential's "
-                                  "minimum and is confined on this grid")
-    h = grid.spacing
+                                  "minimum, below the grid's highest level and is "
+                                  "confined on this grid")
     kappa = math.sqrt(2.0 * potential.mass * max(float(v.max()) - e_lo, 0.0)) / potential.hbar
     if 1.0 - h * kappa * (h * kappa) / 12.0 <= 0.0:  # the smallest Numerov coefficient at the floor
         raise GridTooSmall(f"grid spacing h = {h:.3g} is at least sqrt(12) times the shortest "
@@ -710,8 +720,8 @@ def find_eigenvalues(
                f"energy resolution {resolution:.1e}; the grid cannot separate them")
     # Every sweep reads the sampled v, and matches at the centre where v is
     # its own mirror image; the table keeps each sweep's count.
-    mirror = bool(np.array_equal(v, v[::-1]))
-    counts = {e_lo: _shoot(potential, e_lo, grid, v, None, mirror)[0]}
+    centre = (len(v) - 1) // 2 if np.array_equal(v, v[::-1]) else None
+    counts = {e_lo: _shoot(potential, e_lo, grid, v, centre)[0]}
 
     def bracket(k):  # the window's top bounds level k until a sweep counts more than k
         return (max(e for e, count in counts.items() if count <= k),
@@ -719,7 +729,7 @@ def find_eigenvalues(
 
     def beyond_top(k):  # whether level k lies above the window; the top is swept once
         if search_hi not in counts:
-            counts[search_hi] = _shoot(potential, search_hi, grid, v, None, mirror)[0]
+            counts[search_hi] = _shoot(potential, search_hi, grid, v, centre)[0]
         return counts[search_hi] <= k
 
     energies, functions = [], []
@@ -733,9 +743,9 @@ def find_eigenvalues(
             if hi == search_hi and beyond_top(k):
                 break
             energy = 0.5 * (lo + hi)
-        im = last = None  # last: (energy, w, step, sides) of the last Newton sweep
+        im, last = centre, None  # last: (energy, w, step, sides) of the last Newton sweep
         for _ in range(_LEVEL_MAX_ITER):
-            count, w, at, marches = _shoot(potential, energy, grid, v, im, mirror)
+            count, w, at, marches = _shoot(potential, energy, grid, v, im)
             counts[energy] = count
             lo, hi = bracket(k)
             # Level k lies above (count k) or below (count k + 1), within the

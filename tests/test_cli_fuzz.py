@@ -134,11 +134,13 @@ def _expire(signum, frame):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_ARGV)
 # Found by this fuzz or next to what it found: a floor check squaring a
-# Python float (OverflowError), and a pair whose g or c overflows (warnings).
+# Python float (OverflowError), a pair whose g or c overflows (warnings), and
+# a hard-wall window whose top overflows every Numerov coefficient.
 @example(argv=["spectrum", "--potential", "harmonic:m=1e50", "--range", "0:1",
                "--grid=-1e100:1e100:9"])
 @example(argv=["trajectory", "--potential", "harmonic", "--energy", "0", "--grid", "0:1e154:9"])
 @example(argv=["trajectory", "--potential", "harmonic", "--energy", "1e308", "--grid", "0:1:9"])
+@example(argv=["spectrum", "--potential", "well:m=1e300", "--range", "0:1e300"])
 def test_every_argument_list_ends_in_a_documented_exit_code(places, argv):
     argv = [_placed(token, places) for token in argv]
     out, err = io.StringIO(), io.StringIO()

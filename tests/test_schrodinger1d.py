@@ -303,6 +303,29 @@ def test_window_between_levels_is_empty():
         find_eigenvalues(Potential.harmonic(), (0.6, 1.4), 64, HARMONIC_GRID)
 
 
+def test_a_well_window_past_the_grids_top_level_ends_at_it():
+    # Above the energy where every Numerov coefficient is 2 each march flips
+    # sign at every sample, so the 9-point well holds its 7 levels below it
+    # (c = 2 at E = 384, c = 3/2 at 192) and a higher top is read there.
+    # With m = 1e300 a top at 1e300 would overflow every coefficient.
+    grid = RealGrid(0.0, 1.0, 9)
+    well = Potential.infinite_well(1.0)
+    result = find_eigenvalues(well, (0.0, 1e300), 64, grid)
+    assert result.node_counts == tuple(range(7))
+    oracle = [numerov_level_by_count_bisection(lambda e: np.full(9, 2.0 * e), grid.spacing,
+                                               k, 0.0, 384.0) for k in range(7)]
+    tolerance = _polish_tolerance(well, grid, result.energies)
+    assert np.all(np.abs(result.energies - oracle) <= tolerance)
+    for window in ((192.0, 1e300), (385.0, 1e300)):
+        with pytest.raises(NoEigenvalueInRange):
+            find_eigenvalues(well, window, 64, grid)
+    heavy = Potential.infinite_well(1.0, mass=1e300)
+    result = find_eigenvalues(heavy, (0.0, 1e300), 3)
+    assert result.node_counts == (0, 1, 2)
+    expected = np.array([well_level(n, mass=1e300) for n in (1, 2, 3)])
+    assert np.all(np.abs(result.energies / expected - 1.0) < 1e-6)
+
+
 def test_node_counts_follow_the_node_theorem():
     result = find_eigenvalues(Potential.harmonic(), (0.0, 6.0), 64, HARMONIC_GRID)
     assert result.node_counts == (0, 1, 2, 3, 4, 5)
@@ -770,9 +793,11 @@ def test_mirror_sweep_reads_the_right_march_off_the_left(potential, grid, energy
     # for bit a prefix of the one in from the left (on an even count, all
     # of it), so one march gives the two-march sweep at the centre.
     v = potential.evaluate(grid.points())
+    assert np.array_equal(v, v[::-1])
     centre = (grid.n_points - 1) // 2
-    mirrored = schrodinger1d._shoot(potential, energy, grid, v, mirror=True)
-    marched = schrodinger1d._shoot(potential, energy, grid, v, centre)
+    mirrored, calls = _counted_sweep(energy, v, potential=potential, im=centre, grid=grid)
+    marched, two_calls = _counted_sweep(energy, v, _listed_seeds, potential, centre, grid)
+    assert (calls, two_calls) == (1, 2)
     assert mirrored[:3] == marched[:3]
     for (ratios, *seed), (expected, *expected_seed) in zip(mirrored[3], marched[3]):
         assert np.array_equal(ratios, expected) and seed == expected_seed
@@ -783,15 +808,15 @@ _LINSPACE_TABLE = Potential.tabulated(_LINSPACE_Q, 0.5 * _LINSPACE_Q**2)
 
 
 def _counted_sweep(energy, v, decay_seeds=schrodinger1d._decay_seeds,
-                   potential=_LINSPACE_TABLE, im=None):
-    """_shoot on the default grid (at the rightmost turning point unless
-    ``im`` is given), and its number of _ratios calls."""
+                   potential=_LINSPACE_TABLE, im=None, grid=None):
+    """_shoot on ``grid``, by default the potential's own (at the rightmost
+    turning point unless ``im`` is given), and its number of _ratios calls."""
     calls = []
     ratios = schrodinger1d._ratios
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(schrodinger1d, "_ratios", lambda *args: calls.append(1) or ratios(*args))
         patch.setattr(schrodinger1d, "_decay_seeds", decay_seeds)
-        sweep = schrodinger1d._shoot(potential, energy, potential.default_grid(), v, im)
+        sweep = schrodinger1d._shoot(potential, energy, grid or potential.default_grid(), v, im)
     return sweep, len(calls)
 
 
