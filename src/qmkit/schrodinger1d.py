@@ -65,7 +65,8 @@ __all__ = [
 _MAX_MAGNITUDE = 1e140
 
 #: The Newton polish stops once its step is below half this width relative
-#: to max(1, |E|).
+#: to |E|, or half the grid's energy resolution where that is wider: no
+#: absolute floor, so a level on any energy scale is polished alike.
 _LEVEL_RTOL = 1e-12
 
 #: Iteration cap of each level's action guess and of its Newton polish.
@@ -277,23 +278,39 @@ class EigenResult:
 
 def _g_values(potential: Potential, energy: float, v: np.ndarray) -> np.ndarray:
     """g = 2 m (E - V) / hbar^2 over the sampled potential ``v``."""
-    return 2.0 * potential.mass * (energy - v) / potential.hbar**2
+    return 2.0 * potential.mass * (energy - v) / (potential.hbar * potential.hbar)
+
+
+def _numerov_scale(potential: Potential, grid: RealGrid) -> float:
+    """The Numerov scale s = h^2 2m/(12 hbar^2), through which alone the
+    shooting sweeps see hbar, the mass and the spacing h: c = 1 + s (E - V).
+    Raises ValueError unless s is a normal float."""
+    # Python float products, not **: a float power past the range raises
+    # OverflowError, a product gives inf.
+    h, hbar = grid.spacing, potential.hbar
+    scale = h * h / 12.0 * (2.0 * potential.mass / (hbar * hbar))
+    if not sys.float_info.min <= scale <= sys.float_info.max:
+        raise ValueError(f"the Numerov scale h^2 2m/(12 hbar^2) = {scale!r} leaves the normal "
+                         f"float range (h = {h!r}, hbar = {hbar!r}, m = {potential.mass!r})")
+    return scale
 
 
 def _coefficients(potential: Potential, energy: float, grid: RealGrid,
                   v: np.ndarray) -> np.ndarray:
-    """Numerov coefficients c_i = 1 + h^2 g_i / 12 over the sampled potential.
-    A coefficient c_i <= 0 (a spacing of at least sqrt(12) decay lengths)
-    raises GridTooSmall."""
-    # Python float products, not **: a float power past the range raises
-    # OverflowError, a product gives inf.
-    h, hbar = grid.spacing, potential.hbar
-    c = 1.0 + h * h / 12.0 * (2.0 * potential.mass / (hbar * hbar)) * (energy - v)
-    low = c.min()
+    """Numerov coefficients c_i = 1 + s (E - V_i) = 1 + h^2 g_i/12 over the
+    sampled potential, s the Numerov scale; a value past the float range
+    reads inf.  A coefficient c_i <= 0 (a spacing h of at least sqrt(12)
+    decay lengths) raises GridTooSmall, naming the shortest decay length
+    h/sqrt(12 (1 - c_min)) at ``energy``."""
+    with np.errstate(over="ignore"):
+        c = 1.0 + _numerov_scale(potential, grid) * (energy - v)
+    low = float(c.min())
     if low <= 0.0:
-        raise GridTooSmall(f"a Numerov coefficient 1 + h^2 g/12 is {float(low):.3g} <= 0: "
-                           "the grid spacing is at least sqrt(12) decay lengths where the "
-                           "energy is forbidden")
+        h = grid.spacing
+        raise GridTooSmall(f"a Numerov coefficient 1 + h^2 g/12 is {low:.3g} <= 0: grid "
+                           f"spacing h = {h:.3g} is at least sqrt(12) times the shortest decay "
+                           f"length {h / math.sqrt(12.0 * (1.0 - low)):.3g} at E = {energy!r}; "
+                           "the grid cannot represent a decaying tail")
     return c
 
 
@@ -406,16 +423,17 @@ def numerov_integrate(
 
 
 def _decay_seeds(potential: Potential, energy: float, grid: RealGrid, v: np.ndarray):
-    """Starting values of the solutions decaying into the left and right edges
-    (their scale is immaterial: only their ratios are marched)."""
+    """Starting values (1, e^{kappa h}) of the solutions decaying into the
+    left and right edges, kappa h = sqrt(12 s (V - E)) with s the Numerov
+    scale (their scale is immaterial: only their ratios are marched)."""
     if potential.hard_wall:
         return (0.0, 1.0), (0.0, 1.0)
     gaps = (float(v[0]) - energy, float(v[-1]) - energy)
     if min(gaps) <= 0.0:
         raise ValueError("energy is not classically forbidden at the grid edge; "
                          "the decaying seed is undefined")
-    return tuple((1.0, math.exp(math.sqrt(2.0 * potential.mass * gap) / potential.hbar
-                                * grid.spacing)) for gap in gaps)
+    twelve_s = 12.0 * _numerov_scale(potential, grid)
+    return tuple((1.0, math.exp(math.sqrt(twelve_s * gap))) for gap in gaps)
 
 
 def _matching_index(v: np.ndarray, energy: float) -> int:
@@ -552,9 +570,9 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     subnormal, where b's is built afresh.
 
     With z_i = c_i y_i the Numerov recurrence gives C_i - C_{i-1} =
-    -K y_i^2, K = 2 m h^2/hbar^2, for C_i = z_i dz_{i+1}/dE - z_{i+1}
-    dz_i/dE (Cooley's corrector, Math. Comp. 15, 363 (1961), on the
-    discrete march).  So the angle between the tails turns at K (-C_0^a/K
+    -K y_i^2, K = 2 m h^2/hbar^2 = 12 s with s the Numerov scale, for C_i =
+    z_i dz_{i+1}/dE - z_{i+1} dz_i/dE (Cooley's corrector, Math. Comp. 15,
+    363 (1961), on the discrete march).  So the angle between the tails turns at K (-C_0^a/K
     + sum_{0<i<=im} a_i^2 + sum_{im<i<n-1} b_i^2 - C_0^b/K) with a and b
     scaled to unit tails, which is |dw/dE| wherever w vanishes; C_0 is each
     march's value at its seed.  A hard wall's seed (0, 1) has C_0 = 0.  The
@@ -587,7 +605,7 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     # Tails in grid order: a's is (im, im+1), b's march ends at (im+1, im).
     (scale_a, a_im, a_next), (scale_b, b_next, b_im) = tails
     cosine = scale_a * scale_b * (a_im * b_im + a_next * b_next)
-    slope = 2.0 * potential.mass * (grid.spacing / potential.hbar) ** 2 * weight
+    slope = 12.0 * _numerov_scale(potential, grid) * weight
     return slope, cosine, *sides
 
 
@@ -654,8 +672,11 @@ def find_eigenvalues(
     swept only when a bracket needs its count (a guess outside it, a
     bisection or a step reaching the top), and the search ends once the top
     counts at most k levels.  The polish stops at the sweep whose step is
-    below half of 1e-12 max(1, |E|), or of the energy resolution of the
-    Numerov coefficients where that is wider, and returns its energy.  It
+    below half of 1e-12 |E|, or of the energy resolution 2 ulp(1)/s of the
+    Numerov coefficients (s the Numerov scale, see :func:`_numerov_scale`)
+    where that is wider, and returns its energy; no bound of the search is
+    absolute, so a change of units by powers of two scales every level
+    exactly.  It
     also stops one sweep earlier, on the trial E +/- s of a Newton sweep
     with step s that follows another with step s_prev (no bisection between
     them), when the contraction rate r = max(s/s_prev, |secant -
@@ -670,18 +691,22 @@ def find_eigenvalues(
     LevelsUnresolved (a tunnelling doublet the grid cannot split), an
     eigenfunction without k nodes raises NodeCountMismatch (the grid
     under-resolves it).  For soft potentials only energies classically
-    forbidden at both grid edges are searchable; a window with no such
-    level raises NoEigenvalueInRange.  A top above the energy where the
-    smallest Numerov coefficient is 2, past which the grid holds no level
-    (between hard walls, where coefficients may otherwise overflow), is
-    lowered to it.
+    forbidden at both grid edges are searchable: the top stays below the
+    lower edge value V_e by max(1e-9 |V_e|, resolution), and a window with
+    no such level raises NoEigenvalueInRange.  A top above the energy
+    max V + 1/s, where the smallest Numerov coefficient is 2 and past which
+    the grid holds no level (between hard walls, where coefficients may
+    otherwise overflow), is lowered to it.
     The window's floor is raised to the potential's minimum on the grid,
-    below which no level lies; a grid whose spacing there is at least
-    sqrt(12) decay lengths (a Numerov coefficient <= 0) raises GridTooSmall.
+    below which no level lies; the first sweep, at the floor, raises
+    GridTooSmall where the spacing is at least sqrt(12) decay lengths (a
+    Numerov coefficient <= 0, see :func:`_coefficients`).  A hard-wall grid
+    must span [0, L] to within 1e-9 L.
     """
     if grid is None:
         grid = potential.default_grid()
-    if potential.hard_wall and max(abs(grid.q_min), abs(grid.q_max - potential.length)) >= 1e-9:
+    if (potential.hard_wall and max(abs(grid.q_min), abs(grid.q_max - potential.length))
+            >= 1e-9 * potential.length):
         raise ValueError("hard-wall grids must span exactly [0, length]")
     e_lo, e_hi = float(e_range[0]), float(e_range[1])
     if not (math.isfinite(e_lo) and math.isfinite(e_hi) and e_lo < e_hi):
@@ -691,31 +716,23 @@ def find_eigenvalues(
 
     v = potential.evaluate(grid.points())
     e_lo = max(e_lo, float(v.min()))  # no level lies below the potential's minimum
+    scale = _numerov_scale(potential, grid)
+    # Energies closer than this leave every Numerov coefficient within two ulps.
+    resolution = 2.0 * math.ulp(1.0) / scale
     search_hi = e_hi
     if not potential.hard_wall:
         ceiling = float(min(v[0], v[-1]))
-        search_hi = min(e_hi, ceiling - 1e-9 * max(1.0, abs(ceiling)))
+        search_hi = min(e_hi, ceiling - max(1e-9 * abs(ceiling), resolution))
     # Where every Numerov coefficient exceeds 3/2, D_i < -2 and each march
     # flips sign at every sample: the count is at its largest and no level
     # lies higher.  A top past the energy where the smallest coefficient is
     # 2 (whose coefficients may overflow) is lowered to it; a soft edge
     # already keeps the top below it.
-    h = grid.spacing
-    scale = h * h / 12.0 * (2.0 * potential.mass / (potential.hbar * potential.hbar))
-    if scale:
-        search_hi = min(search_hi, float(v.max()) + 1.0 / scale)
+    search_hi = min(search_hi, float(v.max()) + 1.0 / scale)
     if search_hi <= e_lo:
         raise NoEigenvalueInRange("no energy in the window lies above the potential's "
                                   "minimum, below the grid's highest level and is "
                                   "confined on this grid")
-    kappa = math.sqrt(2.0 * potential.mass * max(float(v.max()) - e_lo, 0.0)) / potential.hbar
-    if 1.0 - h * kappa * (h * kappa) / 12.0 <= 0.0:  # the smallest Numerov coefficient at the floor
-        raise GridTooSmall(f"grid spacing h = {h:.3g} is at least sqrt(12) times the shortest "
-                           f"decay length {1.0 / kappa:.3g} at E = {e_lo!r}; the grid "
-                           "cannot represent a decaying tail")
-
-    # Energies closer than this leave every Numerov coefficient within two ulps.
-    resolution = 12.0 * math.ulp(1.0) / (potential.mass * (grid.spacing / potential.hbar) ** 2)
     doublet = ("two levels near E = %r lie closer than float spacing or than the grid's "
                f"energy resolution {resolution:.1e}; the grid cannot separate them")
     # Every sweep reads the sampled v, and matches at the centre where v is
@@ -765,7 +782,7 @@ def find_eigenvalues(
                 break
             if newton:
                 step = min(hi - lo, abs(w) / slope)
-                tolerance = 0.5 * max(_LEVEL_RTOL * max(1.0, abs(energy)), resolution)
+                tolerance = 0.5 * max(_LEVEL_RTOL * abs(energy), resolution)
                 if step <= tolerance:
                     break
                 trial = energy + step if count == k else energy - step

@@ -139,6 +139,36 @@ class TestSpectrum:
         _, rows = parse_csv(done.stdout)
         assert [int(row[2]) for row in rows] == [0, 1, 2, 3, 4]
 
+    def test_levels_far_below_one_are_polished_like_the_unit_ones(self, capsys):
+        # m = 1e300 makes the well's levels 1e-300 times those of m = 1; the
+        # grid's energy resolution there is 1.1e-308.
+        _, out, _ = run(capsys, "spectrum", "--potential", "well", "--range", "0:100")
+        expected = 1e-300 * float(parse_csv(out)[1][1][1])
+        for top in ("1e300", "1e-296"):
+            code, out, _ = run(capsys, "spectrum", "--potential", "well:m=1e300",
+                               "--range", f"0:{top}", "--count", "3")
+            assert code == 0
+            assert abs(float(parse_csv(out)[1][1][1]) - expected) <= 1.1e-308
+
+    def test_an_oscillator_in_units_of_1e_minus_20_is_found(self, capsys):
+        # Energy unit hbar omega = 1e-20 and length unit 1e-10: the grid is
+        # the default [-10, 10] at 4001 points, in those units.
+        _, out, _ = run(capsys, "spectrum", "--potential", "harmonic", "--range", "0:10",
+                        "--count", "3")
+        expected = [float(row[1]) for row in parse_csv(out)[1]]
+        code, out, _ = run(capsys, "spectrum", "--potential", "harmonic:m=1e40,w=1e-20",
+                           "--range", "0:1e-19", "--count", "3", "--grid=-1e-9:1e-9:4001")
+        assert code == 0
+        levels = [float(row[1]) * 1e20 for row in parse_csv(out)[1]]
+        assert levels == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    def test_a_well_grid_off_by_a_multiple_of_the_length_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--potential", "well:L=1e-12",
+                             "--range", "0:1e30", "--count", "2", "--grid", "0:1e-10:2001")
+        assert code == 1
+        assert out == ""
+        assert "hard-wall grids must span exactly [0, length]" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

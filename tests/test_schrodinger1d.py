@@ -32,6 +32,7 @@ from qmkit import (
     Potential,
     RealGrid,
     Wavefunction,
+    classical_limit_scan,
     find_eigenvalues,
     load_potential_table,
     numerov_integrate,
@@ -397,6 +398,39 @@ def test_tiny_well_over_a_huge_window_returns():
     expected = np.array([well_level(n, length=0.001) for n in range(1, 6)])
     assert result.node_counts == (0, 1, 2, 3, 4)
     assert np.abs(result.energies / expected - 1.0).max() < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "well"])
+def test_units_scaled_by_powers_of_two_scale_the_spectrum_exactly(kind):
+    # Energy x 2^-60 and length x 2^-30 make the mass x 2^120 at hbar = 1:
+    # the Numerov coefficients, seeds and action are the unit problem's, bit
+    # for bit, so every level is 2^-60 times its unit value and every
+    # normalized sample 2^15 times its own.
+    energy, length = 2.0**-60, 2.0**-30
+    if kind == "harmonic":
+        unit, scaled = Potential.harmonic(), Potential.harmonic(mass=2.0**120, omega=energy)
+        window, count, grid = (0.0, 44.0), 40, HARMONIC_GRID
+    else:
+        unit, scaled = Potential.infinite_well(), Potential.infinite_well(length, mass=2.0**120)
+        window, count, grid = (0.0, 2000.0), 20, WELL_GRID
+    expected = find_eigenvalues(unit, window, count, grid)
+    result = find_eigenvalues(scaled, (window[0] * energy, window[1] * energy), count,
+                              RealGrid(grid.q_min * length, grid.q_max * length, grid.n_points))
+    assert np.array_equal(result.energies, expected.energies * energy)
+    assert result.node_counts == expected.node_counts
+    for got, want in zip(result.wavefunctions, expected.wavefunctions, strict=True):
+        assert np.array_equal(got.values, want.values * 2.0**15)
+
+
+def test_an_hbar_whose_numerov_scale_underflows_is_a_value_error():
+    # hbar^2 = 1e320 overflows: the scale h^2 2m/(12 hbar^2) reads 0.
+    potential = Potential.harmonic(hbar=1e160)
+    with pytest.raises(ValueError, match="Numerov scale"):
+        find_eigenvalues(potential, (0.0, 10.0), 3, HARMONIC_GRID)
+    with pytest.raises(ValueError, match="Numerov scale"):
+        solution_pair(potential, 0.5, HARMONIC_GRID)
+    with pytest.raises(ValueError, match="Numerov scale"):
+        classical_limit_scan(Potential.harmonic(), 0.5, [1e160])
 
 
 def test_under_resolved_levels_raise_instead_of_returning_rows():
