@@ -5,12 +5,15 @@ trajectory reconstruction) works on uniformly spaced samples.  A sampled
 function may optionally carry caller-supplied first/second/third derivative
 arrays; when they are absent, derivatives are produced by centered finite
 differences and the usable domain shrinks by two points at each edge.
+Sampled columns leave the package as CSV through one writer, each value
+to 17 significant digits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -155,3 +158,28 @@ def derivative_table(
     v = f.values
     # Align the three-point stencils to the five-point third derivative.
     return fd1(v, h)[1:-1], fd2(v, h)[1:-1], fd3(v, h), 2
+
+
+#: Rows per write: one write per row reaches a pipe reader in thousands of
+#: small pieces (about 5 MB more peak RSS in a reader of a 36001-row
+#: trajectory), while the whole text at once costs the writer's memory.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(target, header: str, columns) -> None:
+    """Write a header and one row per sample, each value as %.17g, to a
+    path or an open text stream."""
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    owned = isinstance(target, (str, Path))
+    handle = open(target, "w", newline="") if owned else target
+    try:
+        handle.write(header + "\n")
+        table = np.column_stack(columns)
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            # One format per block, of Python floats: numpy scalars format
+            # slower, to the same text.
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            handle.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+    finally:
+        if owned:
+            handle.close()

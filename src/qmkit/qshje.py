@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NonMonotoneTime
-from .grids import RealGrid, SampledFunction, fd1, fd2
+from .grids import RealGrid, SampledFunction, _write_csv, fd1, fd2
 from .schrodinger1d import (Potential, SolutionPair, Wavefunction, _g_values, _launch,
                             solution_pair)
 from .schwarzian import _braces
@@ -345,31 +344,6 @@ def classical_limit_scan(potential: Potential, energy: float, hbar_sequence) -> 
 
 # ---------------------------------------------------------------------------
 # exports
-
-
-#: Rows per write: one write per row reaches a pipe reader in thousands of
-#: small pieces (about 5 MB more peak RSS in a reader of a 36001-row
-#: trajectory), while the whole text at once costs the writer's memory.
-_CSV_BLOCK_ROWS = 4096
-
-
-def _write_csv(target, header: str, columns) -> None:
-    """Write a header and one row per sample, each value as %.17g, to a
-    path or an open text stream."""
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    owned = isinstance(target, (str, Path))
-    handle = open(target, "w", newline="") if owned else target
-    try:
-        handle.write(header + "\n")
-        table = np.column_stack(columns)
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            # One format per block, of Python floats: numpy scalars format
-            # slower, to the same text.
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            handle.write((row_format * len(block)) % tuple(block.ravel().tolist()))
-    finally:
-        if owned:
-            handle.close()
 
 
 def write_trajectory_csv(trajectory: Trajectory, target) -> None:

@@ -59,6 +59,24 @@ class TestSpectrum:
         for n, row in enumerate(rows, start=1):
             assert abs(float(row[1]) - (n * math.pi) ** 2 / 2.0) < 1e-4
 
+    @pytest.mark.parametrize("spec, potential, window, count", [
+        ("harmonic", qmkit.Potential.harmonic(), (0.0, 6.0), 64),
+        ("well:L=1", qmkit.Potential.infinite_well(1.0), (0.0, 2000.0), 7),
+    ], ids=["harmonic", "well"])
+    def test_csv_rows_are_integers_around_the_exact_levels(self, capsys, spec, potential,
+                                                           window, count):
+        # Index and nodes are written as integers, and every energy parses
+        # back to find_eigenvalues' level bit for bit.
+        code, out, _ = run(capsys, "spectrum", "--potential", spec,
+                           "--range", "%r:%r" % window, "--count", str(count))
+        result = qmkit.find_eigenvalues(potential, window, count)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["index", "energy", "nodes"]
+        assert [(index, nodes) for index, _, nodes in rows] == [
+            (str(k), str(nodes)) for k, nodes in enumerate(result.node_counts)]
+        assert [float(energy) for _, energy, _ in rows] == result.energies.tolist()
+
     def test_free_particle_has_no_levels(self, capsys):
         code, out, err = run(
             capsys, "spectrum", "--potential", "free", "--range", "0:10"
@@ -289,8 +307,10 @@ class TestOutputTarget:
         [
             ("spectrum", "--potential", "harmonic", "--range", "0:3", "--format", "json"),
             ("audit", "counting"),
+            ("spectrum", "--potential", "harmonic", "--range", "0:3"),
+            ("trajectory", "--potential", "free", "--energy", "0.5", "--grid", "0:10:501"),
         ],
-        ids=["spectrum-json", "audit"],
+        ids=["spectrum-json", "audit", "spectrum-csv", "trajectory-csv"],
     )
     def test_out_file_holds_the_bytes_of_stdout(self, capsys, tmp_path, argv):
         target = tmp_path / "out"
