@@ -560,9 +560,9 @@ def _action_guess(potential: Potential, v: np.ndarray, grid: RealGrid, quanta: f
 
 def _match_slope(potential: Potential, grid: RealGrid, left, right):
     """Newton data of one sweep of :func:`_shoot`, from its marches (ratios,
-    y0, y1) of a and b: |dw/dE| at fixed im, the cosine of the angle between
-    the tails (a_im, a_im+1) and (b_im, b_im+1) of the edge-positive
-    solutions, and each march as (t, factors) of :func:`_end_scaled`, in
+    y0, y1) of a and b: c_im c_im+1 |dw/dE| at fixed im, the cosine of the
+    angle between the tails (a_im, a_im+1) and (b_im, b_im+1) of the
+    edge-positive solutions, and each march as (t, factors) of :func:`_end_scaled`, in
     march order.  Where b's ratios are a prefix view of a's (see
     :func:`_shoot`), b's pair is a's rescaled, (t_a[:m + 1]/t_a[m],
     factors_a[:m]) over its m ratios, without a second product: equal to
@@ -572,18 +572,19 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     With z_i = c_i y_i the Numerov recurrence gives C_i - C_{i-1} =
     -K y_i^2, K = 2 m h^2/hbar^2 = 12 s with s the Numerov scale, for C_i =
     z_i dz_{i+1}/dE - z_{i+1} dz_i/dE (Cooley's corrector, Math. Comp. 15,
-    363 (1961), on the discrete march).  So the angle between the tails turns at K (-C_0^a/K
-    + sum_{0<i<=im} a_i^2 + sum_{im<i<n-1} b_i^2 - C_0^b/K) with a and b
-    scaled to unit tails, which is |dw/dE| wherever w vanishes; C_0 is each
-    march's value at its seed.  A hard wall's seed (0, 1) has C_0 = 0.  The
+    363 (1961), on the discrete march).  So the Casoratian of the z tails
+    turns at K (-C_0^a/K + sum_{0<i<=im} a_i^2 + sum_{im<i<n-1} b_i^2 -
+    C_0^b/K) with a and b scaled to unit tails, which is c_im c_im+1 |dw/dE|
+    wherever w vanishes (w is the y tails' Casoratian); C_0 is each march's
+    value at its seed.  A hard wall's seed (0, 1) has C_0 = 0.  The
     decaying seed (1, e^{kappa h}) of a soft edge moves with kappa, where
     dkappa/dE = -m/(hbar^2 kappa), so -C_0/K = e^{kappa h} (c_0 c_1/(2
     kappa h) - (c_0 - c_1)/12): it stands for the tail beyond the grid edge.
     It is taken as e^{kappa h} c_0^2/(2 kappa h) with c_0 = 1 - (kappa
-    h)^2/12, which drops terms of order h^3 dV/dq; the factor 1/(c_im
-    c_im+1) ~ 1 is dropped too.  The sums read each march over its end
-    sample, t = y/y_e, which no growth before the matching point overflows;
-    its tail (t_{n-2}, t_{n-1}) scales it to unit length."""
+    h)^2/12, which drops terms of order h^3 dV/dq.  The sums read each
+    march over its end sample, t = y/y_e, which no growth before the
+    matching point overflows; its tail (t_{n-2}, t_{n-1}) scales it to unit
+    length."""
     weight, tails, sides = 0.0, [], []
     for ratios, y0, y1 in (left, right):
         m = len(ratios)
@@ -775,6 +776,8 @@ def find_eigenvalues(
             if newton:
                 im = at  # unchanged once set: _shoot keeps a given im
                 slope, cosine, *sides = _match_slope(potential, grid, *marches)
+                # |dw/dE|: the slope of the z tails over c_im c_im+1.
+                slope /=(1.0 + scale * (energy - v[im])) * (1.0 + scale * (energy - v[im + 1]))
                 newton = (cosine > 0.0) == (k % 2 == 0)
             # A bisection, or a step up to the window's top, needs the top's count.
             if hi == search_hi and (not newton or abs(w) / slope >= hi - lo) and beyond_top(k):

@@ -670,6 +670,22 @@ def test_levels_match_the_count_bisection_oracle(potential, window, count):
     assert np.all(np.abs(result.energies - oracle) <= tolerance)
 
 
+@pytest.mark.parametrize("n", [11, 21, 41])
+def test_every_level_of_a_coarse_well_matches_the_count_bisection_oracle(n):
+    # The Numerov coefficients reach 1.2-1.5 at these grids' top levels, so
+    # w turns slower than the z tails' slope by c_im c_im+1.  A Newton step
+    # without that factor stopped short: 1.03 tolerances off on 11 points.
+    potential = Potential.infinite_well(1.0)
+    grid = RealGrid(0.0, 1.0, n)
+    v = potential.evaluate(grid.points())
+    result = find_eigenvalues(potential, (0.0, 1e6), 100, grid)
+    assert result.node_counts == tuple(range(n - 2))
+    oracle = [numerov_level_by_count_bisection(lambda e: 2.0 * (e - v), grid.spacing, k, 0.0, 1e6)
+              for k in result.node_counts]
+    tolerance = _polish_tolerance(potential, grid, result.energies)
+    assert np.all(np.abs(result.energies - oracle) <= tolerance)
+
+
 def test_levels_match_the_matrix_numerov_oracle():
     # One dense eigensolve of the same discretization, with no march: the
     # asymmetric double well (q^2 - 4)^2 + q/2, tabulated, up to E = 40.
