@@ -63,8 +63,8 @@ class TestSpectrum:
         ("harmonic", qmkit.Potential.harmonic(), (0.0, 6.0), 64),
         ("well:L=1", qmkit.Potential.infinite_well(1.0), (0.0, 2000.0), 7),
     ], ids=["harmonic", "well"])
-    def test_csv_rows_are_integers_around_the_exact_levels(self, capsys, spec, potential,
-                                                           window, count):
+    def test_csv_holds_integer_columns_and_the_exact_levels(self, capsys, spec, potential,
+                                                            window, count):
         # Index and nodes are written as integers, and every energy parses
         # back to find_eigenvalues' level bit for bit.
         code, out, _ = run(capsys, "spectrum", "--potential", spec,
