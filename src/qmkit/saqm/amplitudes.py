@@ -51,50 +51,48 @@ class AmplitudeNetwork:
             raise ValueError("source and sink must differ")
         if not edges:
             raise ValueError("network needs at least one edge")
-        nodes = {self.source, self.sink}
-        for u, v, _ in edges:
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            nodes.update((u, v))
-        self._topological_order(nodes)  # raises on cycles
-        forward = self._reachable(self.source, lambda u, v: (u, v))
-        backward = self._reachable(self.sink, lambda u, v: (v, u))
-        stranded = nodes - (forward & backward)
-        if stranded:
-            raise ValueError(f"nodes off every source-sink path: {stranded!r}")
-
-    def _topological_order(self, nodes) -> list[Node]:
-        incoming = {n: 0 for n in nodes}
-        outgoing: dict[Node, list[Node]] = {n: [] for n in nodes}
-        for u, v, _ in self.edges:
-            incoming[v] += 1
-            outgoing[u].append(v)
+        if any(u == v for u, v, _ in edges):
+            raise ValueError("self-loops are not allowed")
+        successors, predecessors = _adjacency((u, v) for u, v, _ in edges)
+        incoming = {n: len(p) for n, p in predecessors.items()}
         ready = [n for n, k in incoming.items() if k == 0]
-        order = []
+        ordered = 0
         while ready:
-            n = ready.pop()
-            order.append(n)
-            for m in outgoing[n]:
+            ordered += 1
+            for m in successors[ready.pop()]:
                 incoming[m] -= 1
                 if incoming[m] == 0:
                     ready.append(m)
-        if len(order) != len(nodes):
+        if ordered != len(incoming):
             raise ValueError("network contains a cycle")
-        return order
+        forward = _reachable(self.source, successors)
+        backward = _reachable(self.sink, predecessors)
+        stranded = {self.source, self.sink, *successors} - (forward & backward)
+        if stranded:
+            raise ValueError(f"nodes off every source-sink path: {stranded!r}")
 
-    def _reachable(self, start: Node, orient) -> set[Node]:
-        adjacency: dict[Node, list[Node]] = {}
-        for u, v, _ in self.edges:
-            a, b = orient(u, v)
-            adjacency.setdefault(a, []).append(b)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adjacency.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+
+def _adjacency(pairs) -> tuple[dict[Node, list[Node]], dict[Node, list[Node]]]:
+    """Successors and predecessors of every node of the (tail, head) pairs."""
+    successors: dict[Node, list[Node]] = {}
+    predecessors: dict[Node, list[Node]] = {}
+    for u, v in pairs:
+        successors.setdefault(u, []).append(v)
+        predecessors.setdefault(v, []).append(u)
+        successors.setdefault(v, [])
+        predecessors.setdefault(u, [])
+    return successors, predecessors
+
+
+def _reachable(start: Node, adjacency: dict[Node, list[Node]]) -> set[Node]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def single_edge(amplitude: complex) -> AmplitudeNetwork:
@@ -102,43 +100,26 @@ def single_edge(amplitude: complex) -> AmplitudeNetwork:
     return AmplitudeNetwork(((0, 1, complex(amplitude)),), 0, 1)
 
 
-def _relabel(net: AmplitudeNetwork, tag: int):
-    """Prefix every node id so two networks never collide."""
-    mapping = {}
-
-    def fresh(node: Node) -> Node:
-        if node not in mapping:
-            mapping[node] = (tag, node)
-        return mapping[node]
-
-    edges = tuple((fresh(u), fresh(v), a) for u, v, a in net.edges)
-    return edges, fresh(net.source), fresh(net.sink)
+def _joined(first: AmplitudeNetwork, second: AmplitudeNetwork, source: Node, sink: Node):
+    """Both networks' edges, node n renamed (0, n) in the first and (1, n) in
+    the second, except the second's source and sink, renamed ``source`` and
+    ``sink``."""
+    ends = {second.source: source, second.sink: sink}
+    return tuple(((0, u), (0, v), a) for u, v, a in first.edges) + tuple(
+        (ends.get(u, (1, u)), ends.get(v, (1, v)), a) for u, v, a in second.edges
+    )
 
 
 def series_network(first: AmplitudeNetwork, second: AmplitudeNetwork) -> AmplitudeNetwork:
     """Concatenate two networks: the first's sink becomes the second's source."""
-    e1, s1, t1 = _relabel(first, 0)
-    e2, s2, t2 = _relabel(second, 1)
-    joined = e1 + tuple(
-        (t1 if u == s2 else u, t1 if v == s2 else v, a) for u, v, a in e2
-    )
-    return AmplitudeNetwork(joined, s1, t2)
+    source, joint, sink = (0, first.source), (0, first.sink), (1, second.sink)
+    return AmplitudeNetwork(_joined(first, second, joint, sink), source, sink)
 
 
 def parallel_network(first: AmplitudeNetwork, second: AmplitudeNetwork) -> AmplitudeNetwork:
     """Merge two networks side by side, identifying sources and sinks."""
-    e1, s1, t1 = _relabel(first, 0)
-    e2, s2, t2 = _relabel(second, 1)
-
-    def rename(node: Node) -> Node:
-        if node == s2:
-            return s1
-        if node == t2:
-            return t1
-        return node
-
-    joined = e1 + tuple((rename(u), rename(v), a) for u, v, a in e2)
-    return AmplitudeNetwork(joined, s1, t1)
+    source, sink = (0, first.source), (0, first.sink)
+    return AmplitudeNetwork(_joined(first, second, source, sink), source, sink)
 
 
 def compose_amplitudes(network: AmplitudeNetwork) -> complex:
@@ -149,47 +130,31 @@ def compose_amplitudes(network: AmplitudeNetwork) -> complex:
     network admitting no further move while more than one edge remains
     raises NotSeriesParallel.
     """
-    edges = list(network.edges)
-    source, sink = network.source, network.sink
-    while True:
-        # Merge parallel duplicates first: they may unlock series moves.
-        grouped: dict[tuple[Node, Node], complex] = {}
-        for u, v, a in edges:
-            key = (u, v)
-            grouped[key] = grouped.get(key, 0.0 + 0.0j) + a
-        merged = [(u, v, a) for (u, v), a in grouped.items()]
-
-        if len(merged) == 1:
-            (u, v, a) = merged[0]
-            if (u, v) != (source, sink):
-                raise NotSeriesParallel("reduced edge does not join source to sink")
-            return a
-
-        in_edges: dict[Node, list[int]] = {}
-        out_edges: dict[Node, list[int]] = {}
-        for idx, (u, v, _) in enumerate(merged):
-            out_edges.setdefault(u, []).append(idx)
-            in_edges.setdefault(v, []).append(idx)
-
-        collapsed = False
-        for node in list(in_edges):
-            if node in (source, sink):
-                continue
-            if len(in_edges.get(node, ())) == 1 and len(out_edges.get(node, ())) == 1:
-                i = in_edges[node][0]
-                j = out_edges[node][0]
-                u, _, a = merged[i]
-                _, v, b = merged[j]
-                merged[i] = (u, v, a * b)
-                merged.pop(j)
-                collapsed = True
-                break
-
-        if not collapsed and len(merged) == len(edges):
+    ends = (network.source, network.sink)
+    # Parallel transitions add as they are inserted: one entry per (tail, head).
+    edges: dict[tuple[Node, Node], complex] = {}
+    for u, v, a in network.edges:
+        edges[u, v] = edges.get((u, v), 0j) + a
+    successors, predecessors = _adjacency(edges)
+    while len(edges) > 1:
+        node = next((n for n, out in successors.items() if n not in ends
+                     and len(out) == 1 and len(predecessors[n]) == 1), None)
+        if node is None:
             raise NotSeriesParallel(
                 "no series or parallel move applies; the network is not series-parallel"
             )
-        edges = merged
+        (u,), (v,) = predecessors.pop(node), successors.pop(node)
+        successors[u].remove(node)
+        predecessors[v].remove(node)
+        amplitude = edges.pop((u, node)) * edges.pop((node, v))
+        if (u, v) not in edges:  # else the fold adds to a parallel transition
+            successors[u].append(v)
+            predecessors[v].append(u)
+        edges[u, v] = edges.get((u, v), 0j) + amplitude
+    ((u, v), a), = edges.items()
+    if (u, v) != ends:
+        raise NotSeriesParallel("reduced edge does not join source to sink")
+    return a
 
 
 def reverse_amplitude(amplitude: complex) -> complex:

@@ -145,8 +145,12 @@ class Potential:
         v = np.asarray(v, dtype=float)
         if q.ndim != 1 or q.shape != v.shape or len(q) < 2:
             raise ValueError("tabulated potential needs two matching 1-d columns")
-        if not np.all(np.diff(q) > 0):
+        if not np.all(np.isfinite(q)):
+            raise ValueError("tabulated sample points must be finite")
+        if not np.all(q[1:] > q[:-1]):
             raise ValueError("tabulated sample points must be strictly increasing")
+        if not math.isfinite(float(q[-1]) - float(q[0])):
+            raise ValueError("tabulated sample points must span a finite range")
         if not np.all(np.isfinite(v)):
             raise ValueError("tabulated potential values must be finite")
         return cls(kind="tabulated", hbar=hbar, mass=mass, table_q=q, table_v=v)
@@ -158,22 +162,26 @@ class Potential:
         return self.kind == "infinite_well"
 
     def evaluate(self, q: np.ndarray) -> np.ndarray:
-        """V at the points ``q``; ValueError where an analytic V overflows."""
+        """V at the points ``q``; ValueError where V leaves the float range
+        (an analytic V overflowing, or a table's interpolation slope)."""
         q = np.asarray(q, dtype=float)
-        if self.kind in ("harmonic", "linear"):
-            with np.errstate(over="ignore"):
-                v = (0.5 * self.mass * self.omega**2 * q * q if self.kind == "harmonic"
-                     else self.slope * q)
-            if not np.isfinite(v).all():
-                raise ValueError(f"the {self.kind} potential leaves the float range at "
-                                 f"|q| = {np.abs(q).max():.3g}")
-            return v
-        if self.kind in ("free", "infinite_well"):
-            return np.zeros_like(q)
-        pad = 1e-9 * (self.table_q[-1] - self.table_q[0])
-        if q.min() < self.table_q[0] - pad or q.max() > self.table_q[-1] + pad:
-            raise ValueError("grid leaves the tabulated potential's range")
-        return np.interp(q, self.table_q, self.table_v)
+        if self.kind == "tabulated":
+            pad = 1e-9 * (self.table_q[-1] - self.table_q[0])
+            if q.min() < self.table_q[0] - pad or q.max() > self.table_q[-1] + pad:
+                raise ValueError("grid leaves the tabulated potential's range")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "harmonic":
+                v = 0.5 * self.mass * self.omega**2 * q * q
+            elif self.kind == "linear":
+                v = self.slope * q
+            elif self.kind == "tabulated":
+                v = np.interp(q, self.table_q, self.table_v)
+            else:
+                v = np.zeros_like(q)
+        if not np.isfinite(v).all():
+            raise ValueError(f"the {self.kind} potential leaves the float range at "
+                             f"|q| = {np.abs(q[~np.isfinite(v)]).max():.3g}")
+        return v
 
     def default_grid(self) -> RealGrid:
         if self.kind == "infinite_well":

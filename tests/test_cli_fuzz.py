@@ -52,8 +52,8 @@ _ENERGIES = st.one_of(st.floats(-1.0, 50.0).map(repr), _NUMBERS)
 _PARAMETERS = {"harmonic": ("m", "w"), "well": ("L", "m"), "linear": ("a", "m"), "free": ("m",)}
 _POTENTIALS = st.one_of(
     st.sampled_from(["harmonic", "well", "linear", "free", "table:", "table:@TABLE",
-                     "table:@BAD", "table:@MISSING", "banana", "", "harmonic:", "harmonic:w",
-                     "well:L=1,L=2"]),
+                     "table:@BAD", "table:@INF", "table:@HUGE", "table:@WIDE", "table:@MISSING",
+                     "banana", "", "harmonic:", "harmonic:w", "well:L=1,L=2"]),
     st.sampled_from(sorted(_PARAMETERS)).flatmap(
         lambda kind: st.lists(st.tuples(st.sampled_from(_PARAMETERS[kind] + ("q",)), _NUMBERS),
                               max_size=3)
@@ -115,7 +115,15 @@ def places(tmp_path_factory):
     q = np.linspace(-6.0, 6.0, 201)
     (root / "table.csv").write_text("q,V\n" + "".join(f"{x!r},{0.5 * x * x!r}\n" for x in q))
     (root / "bad.csv").write_text("q,V\n0,1\n1,x\n")
+    (root / "inf.csv").write_text("q,V\n0,1\ninf,1\n")
+    (root / "wide.csv").write_text("q,V\n-1.7e308,1\n1.7e308,1\n")
+    # Finite samples whose interpolation slope overflows.
+    q = np.linspace(-1.0, 1.0, 201)
+    (root / "huge.csv").write_text(
+        "q,V\n" + "".join(f"{x!r},{1.7e308 if abs(x) > 0.5 else 0.0!r}\n" for x in q.tolist()))
     return {"@TABLE": str(root / "table.csv"), "@BAD": str(root / "bad.csv"),
+            "@INF": str(root / "inf.csv"), "@HUGE": str(root / "huge.csv"),
+            "@WIDE": str(root / "wide.csv"),
             "@MISSING": str(root / "missing"), "@OUT": str(root / "out.txt"),
             "@DIR": str(root)}
 
@@ -135,12 +143,17 @@ def _expire(signum, frame):
 @given(argv=_ARGV)
 # Found by this fuzz or next to what it found: a floor check squaring a
 # Python float (OverflowError), a pair whose g or c overflows (warnings), and
-# a hard-wall window whose top overflows every Numerov coefficient.
+# a hard-wall window whose top overflows every Numerov coefficient; tables
+# with a non-finite sample point, with an interpolation slope past the float
+# range, and with a span past it.
 @example(argv=["spectrum", "--potential", "harmonic:m=1e50", "--range", "0:1",
                "--grid=-1e100:1e100:9"])
 @example(argv=["trajectory", "--potential", "harmonic", "--energy", "0", "--grid", "0:1e154:9"])
 @example(argv=["trajectory", "--potential", "harmonic", "--energy", "1e308", "--grid", "0:1:9"])
 @example(argv=["spectrum", "--potential", "well:m=1e300", "--range", "0:1e300"])
+@example(argv=["trajectory", "--potential", "table:@INF", "--energy", "2"])
+@example(argv=["trajectory", "--potential", "table:@HUGE", "--energy", "5"])
+@example(argv=["spectrum", "--potential", "table:@WIDE", "--range", "0:1"])
 def test_every_argument_list_ends_in_a_documented_exit_code(places, argv):
     argv = [_placed(token, places) for token in argv]
     out, err = io.StringIO(), io.StringIO()

@@ -27,11 +27,13 @@ from qmkit.saqm import (
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def bridge_network() -> AmplitudeNetwork:
-    """Wheatstone bridge: the middle rung blocks series-parallel moves."""
+def bridge_network(s_to_a) -> AmplitudeNetwork:
+    """Wheatstone bridge: the middle rung blocks series-parallel moves.
+
+    ``s_to_a`` stands in for the s -> a transition."""
     return AmplitudeNetwork(
         (
-            ("s", "a", 1.0),
+            *s_to_a,
             ("s", "b", 1.0),
             ("a", "b", 0.5),
             ("a", "t", 1.0),
@@ -93,9 +95,47 @@ class TestComposeAmplitudes:
         expected = (0.5 + 0.5j) * -1.0 + 0.25
         assert compose_amplitudes(net) == expected
 
-    def test_bridge_topology_is_reported(self):
+    @pytest.mark.parametrize(
+        "s_to_a",
+        [
+            (("s", "a", 1.0),),
+            (("s", "x", 1.0), ("x", "a", 1.0)),
+            (("s", "a", 0.5), ("s", "a", 0.5)),
+        ],
+        ids=["bridge", "stuck-after-a-series-fold", "stuck-after-a-parallel-merge"],
+    )
+    def test_bridge_topology_is_reported(self, s_to_a):
         with pytest.raises(NotSeriesParallel, match="not series-parallel"):
-            compose_amplitudes(bridge_network())
+            compose_amplitudes(bridge_network(s_to_a))
+
+    # shuffled_network orders nodes by repr, so these labels decide which
+    # shuffles a seeded audit draws.
+    @pytest.mark.parametrize(
+        "net, edges, ends",
+        [
+            (
+                series_network(single_edge(0.5), single_edge(1j)),
+                (((0, 0), (0, 1), 0.5), ((0, 1), (1, 1), 1j)),
+                ((0, 0), (1, 1)),
+            ),
+            (
+                parallel_network(single_edge(0.5), single_edge(1j)),
+                (((0, 0), (0, 1), 0.5), ((0, 0), (0, 1), 1j)),
+                ((0, 0), (0, 1)),
+            ),
+            (
+                parallel_network(
+                    single_edge(0.5), series_network(single_edge(1j), single_edge(-1.0))
+                ),
+                (((0, 0), (0, 1), 0.5), ((0, 0), (1, (0, 1)), 1j), ((1, (0, 1)), (0, 1), -1.0)),
+                ((0, 0), (0, 1)),
+            ),
+        ],
+        ids=["series", "parallel", "parallel-with-an-inner-node"],
+    )
+    def test_composition_labels_nodes_by_operand(self, net, edges, ends):
+        assert net.edges == edges
+        assert (net.source, net.sink) == ends
 
     @settings(deadline=None, max_examples=80)
     @given(seed=SEEDS)

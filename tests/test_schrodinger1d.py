@@ -79,6 +79,20 @@ def test_tabulated_requires_strictly_increasing_points():
         Potential.tabulated([0.0, 1.0, 1.0], [0.0, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("q", [[0.0, math.inf], [-math.inf, 0.0, 1.0], [-1.7e308, 1.7e308]],
+                         ids=["inf", "minus-inf", "span-overflows"])
+def test_tabulated_sample_points_must_span_a_finite_range(q):
+    with pytest.raises(ValueError, match="finite"):
+        Potential.tabulated(q, [1.0] * len(q))
+
+
+def test_tabulated_evaluate_rejects_an_interpolation_past_the_float_range():
+    q = np.linspace(-1.0, 1.0, 201)
+    pot = Potential.tabulated(q, np.where(np.abs(q) > 0.5, 1.7e308, 0.0))
+    with pytest.raises(ValueError, match="float range"):
+        pot.evaluate(np.linspace(-1.0, 1.0, 4001))
+
+
 def test_tabulated_evaluate_rejects_points_outside_range():
     pot = Potential.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     with pytest.raises(ValueError, match="range"):
