@@ -53,9 +53,8 @@ _LAZY = {
                      "qshje_residual", "reduced_action_from_pair", "suggest_trajectory_grid",
                      "write_residual_csv", "write_trajectory_csv"), ".qshje"),
     **dict.fromkeys(("EigenResult", "Potential", "SolutionPair", "Wavefunction",
-                     "find_eigenvalues", "load_potential_table", "numerov_integrate",
-                     "pair_from_wavefunctions", "shoot_mismatch", "solution_pair",
-                     "wronskian_profile"), ".schrodinger1d"),
+                     "find_eigenvalues", "load_potential_table", "pair_from_wavefunctions",
+                     "shoot_mismatch", "solution_pair"), ".schrodinger1d"),
 }
 
 
@@ -105,7 +104,6 @@ __all__ = [
     "floyd_trajectory",
     "load_potential_table",
     "moebius_invariance_deviation",
-    "numerov_integrate",
     "pair_from_wavefunctions",
     "quantum_potential",
     "qshje_residual",
@@ -119,5 +117,4 @@ __all__ = [
     "transform_W",
     "write_residual_csv",
     "write_trajectory_csv",
-    "wronskian_profile",
 ]

@@ -155,8 +155,8 @@ def _parse_params(text: str, allowed: dict[str, float]) -> dict[str, float]:
 
 
 def parse_potential(text: str) -> Potential:
-    """Mini-grammar: harmonic[:m=..,w=..], well:L=.., linear:a=..,
-    table:PATH, free."""
+    """Mini-grammar: harmonic[:m=..,w=..], well[:L=..,m=..],
+    linear[:a=..,m=..], free[:m=..], table:PATH."""
     from .schrodinger1d import Potential, load_potential_table
 
     kind, _, rest = text.partition(":")

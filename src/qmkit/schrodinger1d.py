@@ -54,11 +54,9 @@ __all__ = [
     "Wavefunction",
     "find_eigenvalues",
     "load_potential_table",
-    "numerov_integrate",
     "pair_from_wavefunctions",
     "shoot_mismatch",
     "solution_pair",
-    "wronskian_profile",
 ]
 
 #: Magnitude bound of stored samples: products of two of them stay finite.
@@ -120,6 +118,21 @@ class Potential:
             if not sys.float_info.min <= unit <= sys.float_info.max:
                 raise ValueError(f"the well's energy unit hbar^2/(m L^2) = {unit!r} leaves the "
                                  f"normal float range (L = {self.length!r}, m = {self.mass!r})")
+        if self.kind == "tabulated":
+            q = np.asarray(self.table_q, dtype=float)
+            v = np.asarray(self.table_v, dtype=float)
+            object.__setattr__(self, "table_q", q)
+            object.__setattr__(self, "table_v", v)
+            if q.ndim != 1 or q.shape != v.shape or len(q) < 2:
+                raise ValueError("tabulated potential needs two matching 1-d columns")
+            if not np.all(np.isfinite(q)):
+                raise ValueError("tabulated sample points must be finite")
+            if not np.all(q[1:] > q[:-1]):
+                raise ValueError("tabulated sample points must be strictly increasing")
+            if not math.isfinite(float(q[-1]) - float(q[0])):
+                raise ValueError("tabulated sample points must span a finite range")
+            if not np.all(np.isfinite(v)):
+                raise ValueError("tabulated potential values must be finite")
 
     # -- constructors ------------------------------------------------------
 
@@ -141,18 +154,6 @@ class Potential:
 
     @classmethod
     def tabulated(cls, q, v, mass: float = 1.0, hbar: float = 1.0):
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if q.ndim != 1 or q.shape != v.shape or len(q) < 2:
-            raise ValueError("tabulated potential needs two matching 1-d columns")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("tabulated sample points must be finite")
-        if not np.all(q[1:] > q[:-1]):
-            raise ValueError("tabulated sample points must be strictly increasing")
-        if not math.isfinite(float(q[-1]) - float(q[0])):
-            raise ValueError("tabulated sample points must span a finite range")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("tabulated potential values must be finite")
         return cls(kind="tabulated", hbar=hbar, mass=mass, table_q=q, table_v=v)
 
     # -- behavior ----------------------------------------------------------
@@ -402,28 +403,6 @@ def _end_scaled(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.reciprocal(t[:-1], out=t[:-1])
     t[1:][zero] = 0.0
     return t, factors
-
-
-def numerov_integrate(
-    potential: Potential,
-    energy: float,
-    grid: RealGrid,
-    direction: str = "left-to-right",
-    seed: tuple[float, float] = (0.0, 1e-6),
-) -> Wavefunction:
-    """Integrate psi'' = -g psi across the grid from a two-value seed.
-
-    ``seed`` holds psi at the first two points along the sweep direction
-    ("left-to-right" or "right-to-left").  Raises Overflow when the
-    solution leaves the representable range; the caller must then
-    renormalize or shrink the domain.
-    """
-    if direction not in ("left-to-right", "right-to-left"):
-        raise ValueError("direction must be 'left-to-right' or 'right-to-left'")
-    order = slice(None, None, -1 if direction == "right-to-left" else 1)
-    c = _coefficients(potential, energy, grid, potential.evaluate(grid.points()))[order]
-    values = _samples(_ratios(c, *seed), *seed)[order]
-    return Wavefunction(grid, values, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +813,7 @@ def find_eigenvalues(
 # canonical solution pairs
 
 
-def wronskian_profile(
+def _wronskian_profile(
     u: np.ndarray, v: np.ndarray, g: np.ndarray, spacing: float
 ) -> np.ndarray:
     """Pointwise estimates of the Wronskian u v' - v u' along the grid.
@@ -869,7 +848,7 @@ def _median(values: np.ndarray) -> float:
 def _validated_wronskian(
     u: np.ndarray, v: np.ndarray, g: np.ndarray, spacing: float
 ) -> float:
-    profile = wronskian_profile(u, v, g, spacing)
+    profile = _wronskian_profile(u, v, g, spacing)
     wbar = _median(profile)
     spread = float(np.abs(profile - wbar).max())
     if wbar == 0.0 or spread > 0.5 * abs(wbar):

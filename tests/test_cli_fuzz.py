@@ -113,7 +113,8 @@ def places(tmp_path_factory):
     """Stand-ins for the placeholders in drawn arguments."""
     root = tmp_path_factory.mktemp("fuzz")
     q = np.linspace(-6.0, 6.0, 201)
-    (root / "table.csv").write_text("q,V\n" + "".join(f"{x!r},{0.5 * x * x!r}\n" for x in q))
+    (root / "table.csv").write_text(
+        "q,V\n" + "".join(f"{x!r},{0.5 * x * x!r}\n" for x in q.tolist()))
     (root / "bad.csv").write_text("q,V\n0,1\n1,x\n")
     (root / "inf.csv").write_text("q,V\n0,1\ninf,1\n")
     (root / "wide.csv").write_text("q,V\n-1.7e308,1\n1.7e308,1\n")
@@ -145,7 +146,7 @@ def _expire(signum, frame):
 # Python float (OverflowError), a pair whose g or c overflows (warnings), and
 # a hard-wall window whose top overflows every Numerov coefficient; tables
 # with a non-finite sample point, with an interpolation slope past the float
-# range, and with a span past it.
+# range, and with a span past it; and a readable table through both solvers.
 @example(argv=["spectrum", "--potential", "harmonic:m=1e50", "--range", "0:1",
                "--grid=-1e100:1e100:9"])
 @example(argv=["trajectory", "--potential", "harmonic", "--energy", "0", "--grid", "0:1e154:9"])
@@ -154,6 +155,8 @@ def _expire(signum, frame):
 @example(argv=["trajectory", "--potential", "table:@INF", "--energy", "2"])
 @example(argv=["trajectory", "--potential", "table:@HUGE", "--energy", "5"])
 @example(argv=["spectrum", "--potential", "table:@WIDE", "--range", "0:1"])
+@example(argv=["spectrum", "--potential", "table:@TABLE", "--range", "0:10"])
+@example(argv=["trajectory", "--potential", "table:@TABLE", "--energy", "2"])
 def test_every_argument_list_ends_in_a_documented_exit_code(places, argv):
     argv = [_placed(token, places) for token in argv]
     out, err = io.StringIO(), io.StringIO()

@@ -35,11 +35,9 @@ from qmkit import (
     classical_limit_scan,
     find_eigenvalues,
     load_potential_table,
-    numerov_integrate,
     pair_from_wavefunctions,
     shoot_mismatch,
     solution_pair,
-    wronskian_profile,
 )
 
 HARMONIC_GRID = RealGrid(-10.0, 10.0, 4001)
@@ -64,9 +62,18 @@ def test_potential_constants_must_be_finite(name, value):
         Potential(kind="harmonic", **{name: value})
 
 
+def _built_directly(q, v):
+    return Potential(kind="tabulated", table_q=np.array(q), table_v=np.array(v))
+
+
+#: The two ways to build a tabulated potential; each must apply the table rules.
+TABLE_BUILDS = (Potential.tabulated, _built_directly)
+
+
 def test_tabulated_values_must_be_finite():
-    with pytest.raises(ValueError, match="finite"):
-        Potential.tabulated([0.0, 1.0, 2.0], [0.0, math.nan, 4.0])
+    for build in TABLE_BUILDS:
+        with pytest.raises(ValueError, match="finite"):
+            build([0.0, 1.0, 2.0], [0.0, math.nan, 4.0])
 
 
 def test_unknown_potential_kind_rejected():
@@ -75,15 +82,23 @@ def test_unknown_potential_kind_rejected():
 
 
 def test_tabulated_requires_strictly_increasing_points():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Potential.tabulated([0.0, 1.0, 1.0], [0.0, 0.5, 1.0])
+    for build in TABLE_BUILDS:
+        for q, v in (([0.0, 1.0, 1.0], [0.0, 0.5, 1.0]), ([1.0, 0.0], [0.0, 1.0])):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                build(q, v)
+
+
+def test_a_tabulated_potential_without_a_table_is_refused():
+    with pytest.raises(ValueError, match="^tabulated potential needs two matching 1-d columns$"):
+        Potential(kind="tabulated")
 
 
 @pytest.mark.parametrize("q", [[0.0, math.inf], [-math.inf, 0.0, 1.0], [-1.7e308, 1.7e308]],
                          ids=["inf", "minus-inf", "span-overflows"])
 def test_tabulated_sample_points_must_span_a_finite_range(q):
-    with pytest.raises(ValueError, match="finite"):
-        Potential.tabulated(q, [1.0] * len(q))
+    for build in TABLE_BUILDS:
+        with pytest.raises(ValueError, match="finite"):
+            build(q, [1.0] * len(q))
 
 
 def test_tabulated_evaluate_rejects_an_interpolation_past_the_float_range():
@@ -145,14 +160,23 @@ def test_grid_rejects_a_span_whose_square_overflows(q_min, q_max):
 
 
 # ---------------------------------------------------------------------------
-# numerov_integrate
+# the Numerov march
+
+
+def _march(potential, energy, grid, seed=(0.0, 1e-6), direction="left-to-right"):
+    """Samples of the solver's Numerov march from ``seed``, psi at the first
+    two points along ``direction`` ("left-to-right" or "right-to-left")."""
+    order = slice(None, None, -1 if direction == "right-to-left" else 1)
+    c = schrodinger1d._coefficients(potential, energy, grid,
+                                    potential.evaluate(grid.points()))[order]
+    return schrodinger1d._samples(schrodinger1d._ratios(c, *seed), *seed)[order]
 
 
 def test_free_particle_matches_sine_closed_form():
     grid = RealGrid(0.0, 10.0, 4001)
     h = grid.spacing
-    wave = numerov_integrate(Potential.free(), 0.5, grid, seed=(0.0, math.sin(h)))
-    assert np.abs(wave.values - np.sin(grid.points())).max() < 1e-8
+    values = _march(Potential.free(), 0.5, grid, seed=(0.0, math.sin(h)))
+    assert np.abs(values - np.sin(grid.points())).max() < 1e-8
 
 
 @settings(max_examples=20, deadline=None)
@@ -161,28 +185,26 @@ def test_free_particle_matches_sine_for_random_wavenumbers(k):
     grid = RealGrid(0.0, 10.0, 4001)
     h = grid.spacing
     energy = 0.5 * k * k
-    wave = numerov_integrate(
-        Potential.free(), energy, grid, seed=(0.0, math.sin(k * h))
-    )
-    assert np.abs(wave.values - np.sin(k * grid.points())).max() < 1e-6
+    values = _march(Potential.free(), energy, grid, seed=(0.0, math.sin(k * h)))
+    assert np.abs(values - np.sin(k * grid.points())).max() < 1e-6
 
 
 def test_zero_energy_free_solution_is_linear():
     grid = RealGrid(0.0, 10.0, 4001)
-    wave = numerov_integrate(Potential.free(), 0.0, grid, seed=(0.0, grid.spacing))
-    assert np.abs(wave.values - grid.points()).max() < 1e-10
+    values = _march(Potential.free(), 0.0, grid, seed=(0.0, grid.spacing))
+    assert np.abs(values - grid.points()).max() < 1e-10
 
 
 def test_harmonic_ground_state_matches_gaussian():
     h = HARMONIC_GRID.spacing
     seed = (math.exp(-0.5 * 10.0**2), math.exp(-0.5 * (-10.0 + h) ** 2))
-    wave = numerov_integrate(Potential.harmonic(), 0.5, HARMONIC_GRID, seed=seed)
+    values = _march(Potential.harmonic(), 0.5, HARMONIC_GRID, seed=seed)
     q = HARMONIC_GRID.points()
     true = np.exp(-0.5 * q * q)
     # Past the right turning point the marched solution picks up the
     # growing branch from roundoff; compare where the state has support.
     mask = q <= 5.0
-    rel = np.abs(wave.values[mask] - true[mask]).max() / true[mask].max()
+    rel = np.abs(values[mask] - true[mask]).max() / true[mask].max()
     assert rel < 1e-6
 
 
@@ -190,21 +212,14 @@ def test_right_to_left_direction_matches_mirror_solution():
     grid = RealGrid(0.0, 10.0, 4001)
     h = grid.spacing
     seed = (math.sin(10.0), math.sin(10.0 - h))
-    wave = numerov_integrate(
-        Potential.free(), 0.5, grid, direction="right-to-left", seed=seed
-    )
-    assert np.abs(wave.values - np.sin(grid.points())).max() < 1e-8
-
-
-def test_invalid_direction_rejected():
-    with pytest.raises(ValueError, match="direction"):
-        numerov_integrate(Potential.free(), 0.5, WELL_GRID, direction="up")
+    values = _march(Potential.free(), 0.5, grid, seed=seed, direction="right-to-left")
+    assert np.abs(values - np.sin(grid.points())).max() < 1e-8
 
 
 def test_unbounded_growth_raises_overflow():
     grid = RealGrid(0.0, 40.0, 4001)
     with pytest.raises(Overflow):
-        numerov_integrate(Potential.harmonic(), 0.0, grid, seed=(1.0, 1.1))
+        _march(Potential.harmonic(), 0.0, grid, seed=(1.0, 1.1))
 
 
 @pytest.mark.parametrize("direction", ["left-to-right", "right-to-left"])
@@ -213,11 +228,11 @@ def test_exact_zero_samples_match_the_plain_recurrence_exactly(direction, seed):
     # h = 0.1 and E = 120 give c = 1.2 everywhere, so 12 - 10 c = 0 and the
     # recurrence steps y_{i+1} = -y_{i-1}: every other sample is exactly 0.
     grid = RealGrid(0.0, 1.0, 11)
-    wave = numerov_integrate(Potential.free(), 120.0, grid, direction=direction, seed=seed)
+    values = _march(Potential.free(), 120.0, grid, seed=seed, direction=direction)
     expected = numerov_samples(np.full(11, 240.0), grid.spacing, *seed)
     if direction == "right-to-left":
         expected = expected[::-1]
-    assert np.array_equal(wave.values, expected)
+    assert np.array_equal(values, expected)
 
 
 @pytest.mark.parametrize(
@@ -231,10 +246,10 @@ def test_exact_zero_samples_match_the_plain_recurrence_exactly(direction, seed):
     ids=["harmonic", "well", "linear", "free"],
 )
 def test_integration_matches_the_plain_recurrence(potential, energy, grid, seed):
-    wave = numerov_integrate(potential, energy, grid, seed=seed)
+    values = _march(potential, energy, grid, seed=seed)
     g = 2.0 * (energy - potential.evaluate(grid.points()))
     expected = numerov_samples(g, grid.spacing, *seed)
-    assert np.abs(wave.values - expected).max() <= 1e-10 * np.abs(expected).max()
+    assert np.abs(values - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
@@ -261,7 +276,7 @@ def test_march_roundoff_against_a_long_double_recurrence(grid, start, bound, ene
 def test_non_positive_numerov_coefficient_raises_grid_too_small(grid):
     # h = 1 and V - E = q on the ramp give c = 1 - q/6: zero at q = 6, negative past it.
     with pytest.raises(GridTooSmall, match="coefficient"):
-        numerov_integrate(Potential.linear(), 0.0, grid)
+        _march(Potential.linear(), 0.0, grid)
     with pytest.raises(GridTooSmall, match="coefficient"):
         solution_pair(Potential.linear(), 0.0, grid)
 
@@ -1111,7 +1126,7 @@ def test_pair_wronskian_profile_is_flat():
     pot = Potential.harmonic()
     pair = solution_pair(pot, 0.5, grid)
     g = 2.0 * (0.5 - pot.evaluate(grid.points()))
-    profile = wronskian_profile(pair.u.values, pair.v.values, g, grid.spacing)
+    profile = schrodinger1d._wronskian_profile(pair.u.values, pair.v.values, g, grid.spacing)
     assert np.abs(profile - 1.0).max() < 1e-8
 
 
@@ -1124,7 +1139,7 @@ def test_pair_exists_away_from_the_spectrum():
 def test_identical_seeds_rejected_as_degenerate():
     grid = RealGrid(0.0, 10.0, 2001)
     h = grid.spacing
-    wave = numerov_integrate(Potential.free(), 0.5, grid, seed=(0.0, math.sin(h)))
+    wave = Wavefunction(grid, _march(Potential.free(), 0.5, grid, seed=(0.0, math.sin(h))), 0.5)
     with pytest.raises(DegeneratePair):
         pair_from_wavefunctions(wave, wave, Potential.free())
 
