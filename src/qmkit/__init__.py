@@ -11,38 +11,14 @@ complex amplitudes, and unbiased-basis tomography.
 
 import importlib
 
-from .errors import (
-    ArgumentOutOfRange,
-    DegeneratePair,
-    DerivativeVanishes,
-    DimensionMismatch,
-    GridTooSmall,
-    InvalidEffect,
-    LevelsUnresolved,
-    NegativeEigenvalue,
-    NoEigenvalueInRange,
-    NodeCountMismatch,
-    NonMonotoneMap,
-    NonMonotoneTime,
-    NotSeriesParallel,
-    Overflow,
-    PoleOnGrid,
-    QmkitError,
-    UnsupportedDimension,
-)
-from .grids import RealGrid, SampledFunction, sample
+from . import errors, grids, schwarzian as _schwarzian
+from .errors import *  # noqa: F403
+from .grids import *  # noqa: F403
 
 # Eager: the function qmkit.schwarzian shares its name with its submodule,
 # and only an import of the submodule that runs before this rebinding
 # leaves the function in place.
-from .schwarzian import (
-    MoebiusMap,
-    apply_moebius,
-    cocycle_deviation,
-    moebius_invariance_deviation,
-    schwarzian,
-    transform_W,
-)
+from .schwarzian import *  # noqa: F403
 
 #: Names resolved on first use (PEP 562), so ``import qmkit`` loads no
 #: solver layer.  They are looked up on every access, not stored here: a
@@ -68,53 +44,4 @@ def __getattr__(name):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArgumentOutOfRange",
-    "DegeneratePair",
-    "DerivativeVanishes",
-    "DimensionMismatch",
-    "EigenResult",
-    "GridTooSmall",
-    "InvalidEffect",
-    "LevelsUnresolved",
-    "MoebiusMap",
-    "NegativeEigenvalue",
-    "NoEigenvalueInRange",
-    "NodeCountMismatch",
-    "NonMonotoneMap",
-    "NonMonotoneTime",
-    "NotSeriesParallel",
-    "Overflow",
-    "PoleOnGrid",
-    "Potential",
-    "QmkitError",
-    "RealGrid",
-    "ReducedAction",
-    "SampledFunction",
-    "ScanRow",
-    "SolutionPair",
-    "Trajectory",
-    "UnsupportedDimension",
-    "Wavefunction",
-    "apply_moebius",
-    "bipolar_reconstruct",
-    "classical_limit_scan",
-    "cocycle_deviation",
-    "find_eigenvalues",
-    "floyd_trajectory",
-    "load_potential_table",
-    "moebius_invariance_deviation",
-    "pair_from_wavefunctions",
-    "quantum_potential",
-    "qshje_residual",
-    "reduced_action_from_pair",
-    "saqm",
-    "sample",
-    "schwarzian",
-    "shoot_mismatch",
-    "solution_pair",
-    "suggest_trajectory_grid",
-    "transform_W",
-    "write_residual_csv",
-    "write_trajectory_csv",
-]
+__all__ = sorted([*errors.__all__, *grids.__all__, *_schwarzian.__all__, *_LAZY, "saqm"])

@@ -2,6 +2,26 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ArgumentOutOfRange",
+    "DegeneratePair",
+    "DerivativeVanishes",
+    "DimensionMismatch",
+    "GridTooSmall",
+    "InvalidEffect",
+    "LevelsUnresolved",
+    "NegativeEigenvalue",
+    "NoEigenvalueInRange",
+    "NodeCountMismatch",
+    "NonMonotoneMap",
+    "NonMonotoneTime",
+    "NotSeriesParallel",
+    "Overflow",
+    "PoleOnGrid",
+    "QmkitError",
+    "UnsupportedDimension",
+]
+
 
 class QmkitError(Exception):
     """Base class for all qmkit errors."""

@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import GridTooSmall
 
+__all__ = ["RealGrid", "SampledFunction", "sample"]
+
 #: Minimum number of points that keeps every stencil well defined.
 MIN_POINTS = 9
 
@@ -40,8 +42,10 @@ class RealGrid:
             raise ValueError("grid bounds must be finite")
         if not self.q_min < self.q_max:
             raise ValueError(f"q_min must be < q_max, got [{self.q_min}, {self.q_max}]")
-        if int(self.n_points) != self.n_points:
+        if not math.isfinite(self.n_points) or int(self.n_points) != self.n_points:
             raise ValueError("n_points must be an integer")
+        # Stored as the int it equals, so that points() can slice with it.
+        object.__setattr__(self, "n_points", int(self.n_points))
         if self.n_points < MIN_POINTS:
             raise GridTooSmall(
                 f"grid needs at least {MIN_POINTS} points, got {self.n_points}"

@@ -1,86 +1,12 @@
 """Statistical prediction layer: predictors, amplitude rules, tomography,
-and exact counting identities."""
+and exact counting identities.  Each submodule's ``__all__`` is the one
+list of what it exports; this package re-exports all four."""
 
-from .amplitudes import (
-    AmplitudeNetwork,
-    compose_amplitudes,
-    parallel_network,
-    random_series_parallel,
-    reverse_amplitude,
-    series_network,
-    shuffled_network,
-    single_edge,
-)
-from .counting import (
-    HardyCounts,
-    RealSpaceComparison,
-    hardy_counts,
-    parameter_count,
-    real_space_count,
-    real_space_violation,
-    wootters_g_identity,
-)
-from .predictors import (
-    MeasurementBasis,
-    Predictor,
-    born_probabilities,
-    continuous_path,
-    exponent_deviation,
-    random_predictor,
-    statistical_distance,
-)
-from .tomography import (
-    DensityMatrix,
-    MubSet,
-    ProbabilityTable,
-    density_from_json,
-    density_from_table,
-    density_to_json,
-    mub_set,
-    no_signalling_check,
-    partial_trace,
-    random_density,
-    table_from_density,
-    table_from_json,
-    table_to_json,
-    trace_probability,
-)
+from . import amplitudes, counting, predictors, tomography
+from .amplitudes import *  # noqa: F403
+from .counting import *  # noqa: F403
+from .predictors import *  # noqa: F403
+from .tomography import *  # noqa: F403
 
-__all__ = [
-    "AmplitudeNetwork",
-    "DensityMatrix",
-    "HardyCounts",
-    "MeasurementBasis",
-    "MubSet",
-    "Predictor",
-    "ProbabilityTable",
-    "RealSpaceComparison",
-    "born_probabilities",
-    "compose_amplitudes",
-    "continuous_path",
-    "density_from_json",
-    "density_from_table",
-    "density_to_json",
-    "exponent_deviation",
-    "hardy_counts",
-    "mub_set",
-    "no_signalling_check",
-    "parallel_network",
-    "parameter_count",
-    "partial_trace",
-    "random_density",
-    "random_predictor",
-    "random_series_parallel",
-    "real_space_count",
-    "real_space_violation",
-    "reverse_amplitude",
-    "series_network",
-    "shuffled_network",
-    "single_edge",
-    "statistical_distance",
-    "table_from_density",
-    "table_from_json",
-    "table_to_json",
-    "trace_probability",
-    "wootters_g_identity",
-]
+__all__ = sorted([*amplitudes.__all__, *counting.__all__, *predictors.__all__,
+                  *tomography.__all__])

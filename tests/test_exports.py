@@ -1,5 +1,6 @@
-"""The package's exported names: every name in an ``__all__`` resolves, and
-the lazily resolved names are exactly exported ones of their modules."""
+"""The package's exported names: every name in an ``__all__`` resolves and
+is listed once, every error class is exported, and the lazily resolved
+names are exactly exported ones of their modules."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import qmkit
+import qmkit.errors
 import qmkit.saqm
 
 
@@ -16,6 +18,17 @@ import qmkit.saqm
 def test_every_exported_name_resolves(module):
     for name in module.__all__:
         getattr(module, name)
+
+
+@pytest.mark.parametrize("module", [qmkit, qmkit.saqm], ids=["qmkit", "saqm"])
+def test_no_exported_name_is_listed_twice(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_every_error_class_is_exported():
+    errors = {name for name, value in vars(qmkit.errors).items()
+              if isinstance(value, type) and issubclass(value, qmkit.QmkitError)}
+    assert errors <= set(qmkit.__all__)
 
 
 def test_every_lazy_name_is_exported_by_the_package_and_its_module():

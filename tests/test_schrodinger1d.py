@@ -139,6 +139,16 @@ def test_grid_rejects_degenerate_and_tiny_shapes():
         RealGrid(1.0, 1.0, 100)
     with pytest.raises(GridTooSmall):
         RealGrid(0.0, 1.0, 5)
+    for n in (9.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            RealGrid(0.0, 1.0, n)
+
+
+def test_grid_stores_an_integral_point_count_as_an_int():
+    grid = RealGrid(0.0, 1.0, 9.0)
+    assert grid == RealGrid(0.0, 1.0, 9) and type(grid.n_points) is int
+    assert np.array_equal(grid.points(), RealGrid(0.0, 1.0, 9).points())
+    assert type(RealGrid(0.0, 1.0, np.int64(9)).n_points) is int
 
 
 @pytest.mark.parametrize("q_min, q_max, n", [
