@@ -241,35 +241,50 @@ def floyd_trajectory(potential: Potential, energy: float, grid: RealGrid) -> Tra
 #: WKB action held by each forbidden tail of a scan grid.
 _TAIL_ACTION = 3.0
 
+#: Analytic potentials are probed on the boxes [-4 * 2^k, 4 * 2^k], |k| <= _OCTAVES.
+_OCTAVES = 64
+
 
 def _scan_grid(potential: Potential, energy: float,
                *, min_points: int = 4001) -> tuple[RealGrid, float, float]:
     """Grid and turning points (allowed-interval ends) for one energy at the
     potential's hbar.
 
-    Hard walls give [0, L].  Otherwise the boxes are the table's range for a
-    tabulated potential and [-4, 4], [-8, 8], ..., [-64, 64] else, each
-    probed once at 16001 samples; the first whose two ends are classically
-    forbidden is used, and a potential confined in no box gets the first
-    box, unpadded.  Each turning point is padded outward to the first probe
-    sample where the trapezoid sum of kappa dq reaches `_TAIL_ACTION` (or to
-    the probe's end), at 80 samples per shortest wavelength.  The pair is
-    marched outward from the centre, so deeper tails would only amplify the
-    growing solution, by e^(2*_TAIL_ACTION), and with it the roundoff.
+    Hard walls give [0, L].  A table is probed on its own range; any other
+    potential on the first box [-4 * 2^k, 4 * 2^k], k = 0, 1, ...,
+    `_OCTAVES`, whose two ends are classically forbidden.  That box then
+    halves, down to k = -`_OCTAVES`, while its 16001-sample probe holds
+    fewer than 64 allowed samples and the halved box's ends stay forbidden
+    (which only [-4, 4] and smaller can meet).  So no length scale is
+    assumed, and an allowed interval that fills 64 probe samples of [-4, 4]
+    ... [-64, 64] keeps that box.  A potential confined in no box gets the
+    table's range or [-4, 4], unpadded.  Each turning point is padded
+    outward to the first probe sample where the trapezoid sum of kappa dq
+    reaches `_TAIL_ACTION` (or to the probe's end), at 80 samples per
+    shortest wavelength.  The pair is marched outward from the centre, so
+    deeper tails would only amplify the growing solution, by
+    e^(2*_TAIL_ACTION), and with it the roundoff.
     """
+    def confining(box):  # both ends classically forbidden
+        return bool((potential.evaluate(np.array(box)) > energy).all())
+
     if potential.hard_wall:
         return RealGrid(0.0, potential.length, min_points), 0.0, potential.length
     if potential.kind == "tabulated":
         boxes = [(float(potential.table_q[0]), float(potential.table_q[-1]))]
     else:
-        boxes = [(-size, size) for size in (4.0, 8.0, 16.0, 32.0, 64.0)]
-    for box in boxes:
+        boxes = [(-4.0 * 2.0**k, 4.0 * 2.0**k) for k in range(_OCTAVES + 1)]
+    box = next((box for box in boxes if confining(box)), None)
+    if box is None:
+        return RealGrid(*boxes[0], min_points), *boxes[0]
+    while True:
         probe = np.linspace(*box, 16001)
         w = potential.evaluate(probe) - energy
-        if w[0] > 0.0 and w[-1] > 0.0:
+        half = (0.5 * box[0], 0.5 * box[1])
+        if (potential.kind == "tabulated" or np.count_nonzero(w < 0.0) >= 64
+                or half[1] < 4.0 * 2.0**-_OCTAVES or not confining(half)):
             break
-    else:
-        return RealGrid(*boxes[0], min_points), *boxes[0]
+        box = half
 
     allowed = np.nonzero(w < 0.0)[0]
     if len(allowed) == 0:
@@ -289,7 +304,9 @@ def suggest_trajectory_grid(potential: Potential, energy: float) -> RealGrid:
     """Domain suited to action and trajectory work at one energy.
 
     Covers the classically allowed interval plus short forbidden-tail
-    pads, finely sampled.  Long tails are deliberately excluded: time
+    pads, finely sampled, at the potential's own length scale (a box of
+    [-4, 4] doubled or halved by powers of two, see `_scan_grid`), with at
+    least 40001 points.  Long tails are deliberately excluded: time
     increments decay exponentially there and, in deep enough tails
     (harmonic E = 0.5 on [-7, 7]), drop below the float resolution of t,
     which breaks the strict monotonicity of the time column; deeper still,

@@ -10,7 +10,6 @@ state are detected by a negative reconstructed eigenvalue.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,16 +27,12 @@ __all__ = [
     "DensityMatrix",
     "MubSet",
     "ProbabilityTable",
-    "density_from_json",
     "density_from_table",
-    "density_to_json",
     "mub_set",
     "no_signalling_check",
     "partial_trace",
     "random_density",
     "table_from_density",
-    "table_from_json",
-    "table_to_json",
     "trace_probability",
 ]
 
@@ -331,37 +326,3 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     w = g @ g.conj().T
     return DensityMatrix(w / np.trace(w).real)
-
-
-def table_to_json(table: ProbabilityTable) -> str:
-    """Serialize a probability table; floats keep full precision."""
-    return json.dumps({"n": table.dim, "rows": table.rows.tolist()})
-
-
-def table_from_json(text: str) -> ProbabilityTable:
-    data = json.loads(text)
-    rows = np.array(data["rows"], dtype=float)
-    if rows.shape != (data["n"] + 1, data["n"]):
-        raise ValueError("serialized table shape disagrees with its dimension")
-    return ProbabilityTable(rows)
-
-
-def density_to_json(state: DensityMatrix) -> str:
-    """Serialize a state matrix as separate real and imaginary parts."""
-    return json.dumps(
-        {
-            "n": state.dim,
-            "real": state.matrix.real.tolist(),
-            "imag": state.matrix.imag.tolist(),
-        }
-    )
-
-
-def density_from_json(text: str) -> DensityMatrix:
-    data = json.loads(text)
-    matrix = np.array(data["real"], dtype=float) + 1j * np.array(
-        data["imag"], dtype=float
-    )
-    if matrix.shape != (data["n"], data["n"]):
-        raise ValueError("serialized state shape disagrees with its dimension")
-    return DensityMatrix(matrix)

@@ -197,13 +197,16 @@ def scan_grid_by_walk(potential: Potential, energy: float,
                       *, min_points: int = 4001) -> tuple[RealGrid, float, float]:
     """The trajectory grid rule, walked one probe sample at a time.
 
-    The box is [0, L] between hard walls, the table's range for a tabulated
-    potential and the first of [-4, 4], ..., [-64, 64] (checked on 8001
-    samples) whose ends are classically forbidden otherwise; a potential
-    confined in none gets that first box, unpadded.  On a 16001-sample probe
-    of the box, each turning point is padded outward sample by sample until
-    the trapezoid sum of kappa = sqrt(2 m (V - E))/hbar reaches 3 (or the
-    probe ends), and the spacing is 1/80 of the shortest de Broglie
+    The box is [0, L] between hard walls and the table's range for a
+    tabulated potential.  Otherwise it is the first of [-4 * 2^k, 4 * 2^k],
+    k = 0, 1, ..., 64 (checked on 8001 samples) whose ends are classically
+    forbidden; if that is [-4, 4], it is halved, down to k = -64, for as
+    long as its 16001-sample probe holds fewer than 64 samples with V < E
+    and the halved box's ends are still forbidden.  A potential confined in
+    no box gets the table's range or [-4, 4], unpadded.  On a 16001-sample
+    probe of the box, each turning point is padded outward sample by sample
+    until the trapezoid sum of kappa = sqrt(2 m (V - E))/hbar reaches 3 (or
+    the probe ends), and the spacing is 1/80 of the shortest de Broglie
     wavelength, with between ``min_points`` and 400001 points.  Returns the
     grid and the turning points.
     """
@@ -216,13 +219,20 @@ def scan_grid_by_walk(potential: Potential, energy: float,
         if w[0] <= 0.0 or w[-1] <= 0.0:
             return RealGrid(box_lo, box_hi, min_points), box_lo, box_hi
     else:
-        for candidate in (4.0, 8.0, 16.0, 32.0, 64.0):
-            w = potential.evaluate(np.linspace(-candidate, candidate, 8001)) - energy
-            if w[0] > 0.0 and w[-1] > 0.0:
-                box_lo, box_hi = -candidate, candidate
-                break
-        else:
+        def confined(size: float) -> bool:
+            w = potential.evaluate(np.linspace(-size, size, 8001)) - energy
+            return w[0] > 0.0 and w[-1] > 0.0
+
+        size = next((4.0 * 2.0**k for k in range(65) if confined(4.0 * 2.0**k)), None)
+        if size is None:
             return RealGrid(-4.0, 4.0, min_points), -4.0, 4.0
+        if size == 4.0:
+            for k in range(-1, -65, -1):
+                inside = np.sum(potential.evaluate(np.linspace(-size, size, 16001)) < energy)
+                if inside >= 64 or not confined(4.0 * 2.0**k):
+                    break
+                size = 4.0 * 2.0**k
+        box_lo, box_hi = -size, size
         probe = np.linspace(box_lo, box_hi, 16001)
         w = potential.evaluate(probe) - energy
 

@@ -408,6 +408,22 @@ class TestTrajectory:
         residual = float(err.rsplit("sup-norm", 1)[1].strip())
         assert residual < 1e-5
 
+    @pytest.mark.parametrize("spec, energy, unit", [
+        ("harmonic:m=1e-6", "1.5", 1.0),  # length unit 1e3
+        ("harmonic:m=1e40,w=1e-20", "1.5e-20", 1e-20),  # length unit 1e-10
+    ])
+    def test_an_oscillator_far_from_unit_length_gets_its_own_grid(self, capsys, spec,
+                                                                 energy, unit):
+        # The residual is held to the same bound in the potential's unit hbar omega.
+        code, out, err = run(capsys, "trajectory", "--potential", spec, "--energy", energy)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        t = np.array([float(r[0]) for r in rows])
+        assert len(t) >= 36001
+        assert np.all(np.diff(t) > 0.0)
+        residual = float(err.rsplit("sup-norm", 1)[1].strip())
+        assert residual <= 1e-5 * unit
+
     def test_json_format_carries_all_three_columns(self, capsys):
         code, out, _ = run(
             capsys,

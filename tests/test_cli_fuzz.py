@@ -146,7 +146,8 @@ def _expire(signum, frame):
 # Python float (OverflowError), a pair whose g or c overflows (warnings), and
 # a hard-wall window whose top overflows every Numerov coefficient; tables
 # with a non-finite sample point, with an interpolation slope past the float
-# range, and with a span past it; and a readable table through both solvers.
+# range, and with a span past it; a readable table through both solvers; and
+# oscillators of length 1e3 and 1e-10 on their suggested trajectory grids.
 @example(argv=["spectrum", "--potential", "harmonic:m=1e50", "--range", "0:1",
                "--grid=-1e100:1e100:9"])
 @example(argv=["trajectory", "--potential", "harmonic", "--energy", "0", "--grid", "0:1e154:9"])
@@ -157,6 +158,8 @@ def _expire(signum, frame):
 @example(argv=["spectrum", "--potential", "table:@WIDE", "--range", "0:1"])
 @example(argv=["spectrum", "--potential", "table:@TABLE", "--range", "0:10"])
 @example(argv=["trajectory", "--potential", "table:@TABLE", "--energy", "2"])
+@example(argv=["trajectory", "--potential", "harmonic:m=1e-6", "--energy", "1.5"])
+@example(argv=["trajectory", "--potential", "harmonic:m=1e40,w=1e-20", "--energy", "1.5e-20"])
 def test_every_argument_list_ends_in_a_documented_exit_code(places, argv):
     argv = [_placed(token, places) for token in argv]
     out, err = io.StringIO(), io.StringIO()

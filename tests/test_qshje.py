@@ -41,16 +41,21 @@ QUARTIC = Potential.tabulated(_QUARTIC_Q, 0.5 * _QUARTIC_Q**2 + 0.1 * _QUARTIC_Q
 _TABLE_Q = np.linspace(-5.0, 5.0, 1201)
 
 # Potentials for the grid-rule oracle: confined in the first box or a later
-# one, confined in none (linear, free, and every table at E = 700), hard walls.
+# one (up to [-65536, 65536] for m = 1e-6), in a halved one (m = 1e40 and
+# omega = 1e-20, at energies in its unit hbar omega), in none (linear, free,
+# and every table at E = 700), hard walls.
 SCAN_POTENTIALS = {
     "harmonic": Potential.harmonic(),
     "harmonic-m2-omega3": Potential.harmonic(mass=2.0, omega=3.0),
+    "harmonic-wide": Potential.harmonic(mass=1e-6),
+    "harmonic-narrow": Potential.harmonic(mass=1e40, omega=1e-20),
     "linear": Potential.linear(),
     "free": Potential.free(),
     "well": Potential.infinite_well(1.0),
     "tabulated-quartic": Potential.tabulated(_TABLE_Q, 0.5 * _TABLE_Q**2 + 0.1 * _TABLE_Q**4),
     "tabulated-double-well": Potential.tabulated(_TABLE_Q, (_TABLE_Q**2 - 1.0) ** 2),
 }
+SCAN_ENERGY_UNITS = {"harmonic-narrow": 1e-20}
 
 # Reference grids for the random-energy residual sweeps.  Windows are kept
 # shallow enough in the classically forbidden tails that the outward march
@@ -297,8 +302,10 @@ class TestClassicalLimitScan:
 class TestScanGrid:
     @pytest.mark.parametrize("name", sorted(SCAN_POTENTIALS))
     def test_grid_matches_the_walk_oracle(self, name):
+        unit = SCAN_ENERGY_UNITS.get(name, 1.0)
         for energy, hbar, min_points in itertools.product(
-                (0.3, 2.7, 30.0, 700.0), (0.02, 0.3, 1.0), (4001, 40001)):
+                (0.3 * unit, 2.7 * unit, 30.0 * unit, 700.0 * unit), (0.02, 0.3, 1.0),
+                (4001, 40001)):
             potential = dataclasses.replace(SCAN_POTENTIALS[name], hbar=hbar)
             expected = scan_grid_by_walk(potential, energy, min_points=min_points)
             assert _scan_grid(potential, energy, min_points=min_points) == expected, \

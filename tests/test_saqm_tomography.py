@@ -3,7 +3,6 @@ table/state bijection, effect probabilities, and no-signalling."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -20,16 +19,12 @@ from qmkit.saqm import (
     MeasurementBasis,
     Predictor,
     ProbabilityTable,
-    density_from_json,
     density_from_table,
-    density_to_json,
     mub_set,
     no_signalling_check,
     partial_trace,
     random_density,
     table_from_density,
-    table_from_json,
-    table_to_json,
     trace_probability,
 )
 
@@ -264,30 +259,3 @@ class TestNoSignalling:
         bad = (QUBIT_MUBS.bases[0], mub_set(3).bases[0])
         with pytest.raises(DimensionMismatch):
             no_signalling_check(BELL, bad, QUBIT_MUBS)
-
-
-class TestJsonSerialization:
-    def test_table_round_trips_bit_for_bit(self):
-        rng = np.random.default_rng(61)
-        table = table_from_density(random_density(2, rng), QUBIT_MUBS)
-        back = table_from_json(table_to_json(table))
-        assert np.array_equal(back.rows, table.rows)
-
-    def test_density_round_trips_bit_for_bit(self):
-        rng = np.random.default_rng(62)
-        rho = random_density(3, rng)
-        back = density_from_json(density_to_json(rho))
-        assert np.array_equal(back.matrix, rho.matrix)
-
-    def test_serialized_payloads_are_plain_json(self):
-        table = table_from_density(DensityMatrix.maximally_mixed(2), QUBIT_MUBS)
-        payload = json.loads(table_to_json(table))
-        assert payload["n"] == 2
-        assert len(payload["rows"]) == 3
-
-    def test_corrupted_shape_is_rejected(self):
-        table = table_from_density(DensityMatrix.maximally_mixed(2), QUBIT_MUBS)
-        payload = json.loads(table_to_json(table))
-        payload["n"] = 3
-        with pytest.raises(ValueError, match="shape"):
-            table_from_json(json.dumps(payload))
