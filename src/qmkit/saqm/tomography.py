@@ -312,13 +312,7 @@ def no_signalling_check(
     second = conditioned_table(basis_b_second)
     reduced = partial_trace(rho_joint, (d_a, d_b), keep=0)
     direct = table_from_density(reduced, mub_a).rows
-    return float(
-        max(
-            np.abs(first - second).max(),
-            np.abs(first - direct).max(),
-            np.abs(second - direct).max(),
-        )
-    )
+    return float(np.ptp([first, second, direct], axis=0).max())
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:

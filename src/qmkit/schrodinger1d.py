@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (DegeneratePair, GridTooSmall, LevelsUnresolved, NodeCountMismatch,
                      NoEigenvalueInRange, Overflow)
-from .grids import RealGrid
+from .grids import RealGrid, fd1, fd2
 
 __all__ = [
     "EigenResult",
@@ -432,20 +432,6 @@ def _matching_index(v: np.ndarray, energy: float) -> int:
     return min(max(index, 2), len(v) - 3)
 
 
-def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid) -> float:
-    """The match w of one sweep at ``energy``: the Casoratian of the
-    edge-decaying solutions (positive at their edges) at the rightmost
-    turning point (grid midpoint if none), both tails scaled to unit length.
-    It is the sine of the angle between the tails, so it lies in [-1, 1],
-    has no poles, and vanishes exactly at the levels.  The sweep marches
-    once where the coefficients of its right march mirror those of its
-    left (see :func:`_shoot`), twice elsewhere, with the same w.  It is the
-    match :func:`find_eigenvalues` polishes on any potential whose samples
-    are not mirror-symmetric; on those that are, the search matches at the
-    grid centre instead."""
-    return _shoot(potential, energy, grid)[1]
-
-
 def _end(ratios: np.ndarray) -> tuple[int, float, float]:
     """Sign changes of a march up to its next-to-last sample p, and its last
     two samples (p, q) scaled to unit length with p >= 0.  An exact zero
@@ -458,25 +444,28 @@ def _end(ratios: np.ndarray) -> tuple[int, float, float]:
     return nodes, 1.0 / norm, last / norm
 
 
-def _shoot(potential: Potential, energy: float, grid: RealGrid,
-           v: np.ndarray | None = None, im: int | None = None):
-    """One sweep: (levels below ``energy``, match w, matching index im, and
-    the two marches as (ratios, y0, y1) of a and of b).
+def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid,
+                   v: np.ndarray | None = None, im: int | None = None):
+    """One sweep at ``energy``: (levels below it, match w, matching index
+    im, and the two marches as (ratios, y0, y1) of a and of b).  Every
+    sweep of :func:`find_eigenvalues` is one call of this function.
 
     ``v`` is the potential sampled on the grid (sampled here if not given).
     Decaying solutions a (marched to im+1) and b (down to im) meet at the
-    rightmost turning point unless ``im`` is given (the grid centre
-    (n - 1)//2 where :func:`find_eigenvalues` finds ``v`` equal to its
-    mirror image).  b's march reads only the coefficients c[im:] reversed
-    and its seed, so where the two edge seeds are equal, im >= (n - 1)//2
-    and c[im:][::-1] equals c[:n - im] exactly (always so at the centre of
-    mirror samples, and in most turning-point sweeps of a nearly even
-    table), it is bit for bit the first n - im - 1 ratios of a's: b is
-    taken as that prefix view and one march serves both.  w is their
-    Casoratian at (im, im+1), written cancellation-free and scaled to the
-    sine of the angle between them, so it is pole-free and smooth in
-    energy at fixed im.  The Sturm count (a's sign changes up to im, b's
-    from im on, plus one when b1/b0 > a1/a0) does not depend on im."""
+    rightmost turning point (the grid midpoint if none) unless ``im`` is
+    given (the grid centre (n - 1)//2 where :func:`find_eigenvalues` finds
+    ``v`` equal to its mirror image).  b's march reads only the
+    coefficients c[im:] reversed and its seed, so where the two edge seeds
+    are equal, im >= (n - 1)//2 and c[im:][::-1] equals c[:n - im] exactly
+    (always so at the centre of mirror samples, and in most turning-point
+    sweeps of a nearly even table), it is bit for bit the first n - im - 1
+    ratios of a's: b is taken as that prefix view and one march serves
+    both.  w is their Casoratian at (im, im+1), written cancellation-free
+    with both tails (positive at their edges) scaled to unit length: the
+    sine of the angle between the tails, so it lies in [-1, 1], has no
+    poles, is smooth in energy at fixed im and vanishes exactly at the
+    levels.  The Sturm count (a's sign changes up to im, b's from im on,
+    plus one when b1/b0 > a1/a0) does not depend on im."""
     if v is None:
         v = potential.evaluate(grid.points())
     c = _coefficients(potential, energy, grid, v)
@@ -546,12 +535,12 @@ def _action_guess(potential: Potential, v: np.ndarray, grid: RealGrid, quanta: f
 
 
 def _match_slope(potential: Potential, grid: RealGrid, left, right):
-    """Newton data of one sweep of :func:`_shoot`, from its marches (ratios,
-    y0, y1) of a and b: c_im c_im+1 |dw/dE| at fixed im, the cosine of the
+    """Newton data of one sweep of :func:`shoot_mismatch`, from its marches
+    (ratios, y0, y1) of a and b: c_im c_im+1 |dw/dE| at fixed im, the cosine of the
     angle between the tails (a_im, a_im+1) and (b_im, b_im+1) of the
     edge-positive solutions, and each march as (t, factors) of :func:`_end_scaled`, in
     march order.  Where b's ratios are a prefix view of a's (see
-    :func:`_shoot`), b's pair is a's rescaled, (t_a[:m + 1]/t_a[m],
+    :func:`shoot_mismatch`), b's pair is a's rescaled, (t_a[:m + 1]/t_a[m],
     factors_a[:m]) over its m ratios, without a second product: equal to
     b's own up to the roundoff of the products, unless t_a[m] is zero or
     subnormal, where b's is built afresh.
@@ -654,10 +643,10 @@ def find_eigenvalues(
     mirror image exactly (decided once per call), at the grid centre.  A
     sweep whose right march reads the mirror image of its left march's
     coefficients, there or at a turning point right of the centre, marches
-    once (see :func:`_shoot`).  A step off the count
-    bracket, a count other than k or k + 1, or a sweep nearer another root
-    of w bisects the bracket instead, so the counts alone decide every level.  The window's top is
-    swept only when a bracket needs its count (a guess outside it, a
+    once (see :func:`shoot_mismatch`).  A step off the count bracket, a
+    count other than k or k + 1, or a sweep nearer another root of w
+    bisects the bracket instead, so the counts alone decide every level.
+    The window's top is swept only when a bracket needs its count (a guess outside it, a
     bisection or a step reaching the top), and the search ends once the top
     counts at most k levels.  The polish stops at the sweep whose step is
     below half of 1e-12 |E|, or of the energy resolution 2 ulp(1)/s of the
@@ -726,7 +715,7 @@ def find_eigenvalues(
     # Every sweep reads the sampled v, and matches at the centre where v is
     # its own mirror image; the table keeps each sweep's count.
     centre = (len(v) - 1) // 2 if np.array_equal(v, v[::-1]) else None
-    counts = {e_lo: _shoot(potential, e_lo, grid, v, centre)[0]}
+    counts = {e_lo: shoot_mismatch(potential, e_lo, grid, v, centre)[0]}
 
     def bracket(k):  # the window's top bounds level k until a sweep counts more than k
         return (max(e for e, count in counts.items() if count <= k),
@@ -734,7 +723,7 @@ def find_eigenvalues(
 
     def beyond_top(k):  # whether level k lies above the window; the top is swept once
         if search_hi not in counts:
-            counts[search_hi] = _shoot(potential, search_hi, grid, v, centre)[0]
+            counts[search_hi] = shoot_mismatch(potential, search_hi, grid, v, centre)[0]
         return counts[search_hi] <= k
 
     energies, functions = [], []
@@ -750,7 +739,7 @@ def find_eigenvalues(
             energy = 0.5 * (lo + hi)
         im, last = centre, None  # last: (energy, w, step, sides) of the last Newton sweep
         for _ in range(_LEVEL_MAX_ITER):
-            count, w, at, marches = _shoot(potential, energy, grid, v, im)
+            count, w, at, marches = shoot_mismatch(potential, energy, grid, v, im)
             counts[energy] = count
             lo, hi = bracket(k)
             # Level k lies above (count k) or below (count k + 1), within the
@@ -761,10 +750,11 @@ def find_eigenvalues(
             # polish tolerance.  Any other sweep bisects the count bracket.
             newton = count in (k, k + 1)
             if newton:
-                im = at  # unchanged once set: _shoot keeps a given im
+                im = at  # unchanged once set: a given im is kept
                 slope, cosine, *sides = _match_slope(potential, grid, *marches)
                 # |dw/dE|: the slope of the z tails over c_im c_im+1.
-                slope /=(1.0 + scale * (energy - v[im])) * (1.0 + scale * (energy - v[im + 1]))
+                c_im, c_next = _coefficients(potential, energy, grid, v[im:im + 2])
+                slope /= c_im * c_next
                 newton = (cosine > 0.0) == (k % 2 == 0)
             # A bisection, or a step up to the window's top, needs the top's count.
             if hi == search_hi and (not newton or abs(w) / slope >= hi - lo) and beyond_top(k):
@@ -875,9 +865,8 @@ def _taylor_start(g: np.ndarray, h: float, i0: int, value: float,
     """Fourth-order series values at q0 +/- h from (psi, psi') at q0."""
     # Python floats and products, not **: on a huge spacing they overflow
     # to inf silently, and the march reports Overflow.
-    g_minus, g0, g_plus = g[i0 - 1:i0 + 2].tolist()
-    g1 = (g_plus - g_minus) / (2.0 * h)
-    g2 = (g_plus - 2.0 * g0 + g_minus) / (h * h)
+    g0, stencil = float(g[i0]), g[i0 - 1:i0 + 2]
+    g1, g2 = fd1(stencil, h).item(), fd2(stencil, h).item()
     d2 = -g0 * value
     d3 = -g1 * value - g0 * derivative
     d4 = -g2 * value - 2.0 * g1 * derivative + g0 * g0 * value

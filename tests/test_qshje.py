@@ -247,6 +247,23 @@ class TestTrajectory:
         t = floyd_trajectory(potential, energy, grid).t
         assert np.abs(t - reference).max() < 2e-6
 
+    def test_time_on_the_launch_slope_floor_matches_a_central_difference(self):
+        # -q^2/2 at E = 0 has g(q0) = 0 at the launch, so kappa sits on the
+        # 1/width floor (0.25) with no energy dependence at E and E +/- delta.
+        q = np.linspace(-3.0, 3.0, 6001)
+        pot = Potential.tabulated(q, -0.5 * q * q)
+        grid = RealGrid(-2.0, 2.0, 4001)
+        trajectory = floyd_trajectory(pot, 0.0, grid)
+        delta = 1e-4
+        lo, hi = (reduced_action_from_pair(solution_pair(pot, energy, grid),
+                                           hbar=pot.hbar, mass=pot.mass).S0
+                  for energy in (-delta, delta))
+        points = grid.points()
+        reference = ((hi - lo) / (2.0 * delta))[(points >= trajectory.q[0])
+                                                & (points <= trajectory.q[-1])]
+        error = np.abs(trajectory.t - (reference - reference[0])).max()
+        assert error <= 1e-6 * trajectory.t[-1]
+
     def test_deep_forbidden_tails_keep_time_rising(self):
         # At E = 0.5 a [-6, 6] window reaches far past the turning points;
         # the time column still rises strictly there and, aligned at q = 0,

@@ -296,21 +296,21 @@ def test_non_positive_numerov_coefficient_raises_grid_too_small(grid):
 
 
 def test_mismatch_vanishes_at_harmonic_ground_level():
-    assert abs(shoot_mismatch(Potential.harmonic(), 0.5, HARMONIC_GRID)) < 1e-8
+    assert abs(shoot_mismatch(Potential.harmonic(), 0.5, HARMONIC_GRID)[1]) < 1e-8
 
 
 def test_mismatch_large_off_spectrum():
-    assert abs(shoot_mismatch(Potential.harmonic(), 0.7, HARMONIC_GRID)) > 1e-2
+    assert abs(shoot_mismatch(Potential.harmonic(), 0.7, HARMONIC_GRID)[1]) > 1e-2
 
 
 def test_mismatch_vanishes_at_well_ground_level():
     energy = well_level(1)
-    assert abs(shoot_mismatch(Potential.infinite_well(1.0), energy, WELL_GRID)) < 1e-8
+    assert abs(shoot_mismatch(Potential.infinite_well(1.0), energy, WELL_GRID)[1]) < 1e-8
 
 
 def test_mismatch_is_bounded_between_levels():
     # The match is the sine of an angle: no pole anywhere in the window.
-    values = [shoot_mismatch(Potential.harmonic(), energy, HARMONIC_GRID)
+    values = [shoot_mismatch(Potential.harmonic(), energy, HARMONIC_GRID)[1]
               for energy in np.linspace(0.01, 9.9, 991)]
     assert max(abs(w) for w in values) <= 1.0
 
@@ -547,14 +547,14 @@ def test_a_tail_below_the_float_range_of_its_end_sample_stays_silent():
 def _solve_counting_sweeps(potential, window):
     """find_eigenvalues plus its shooting sweeps per level."""
     calls = []
-    shoot = schrodinger1d._shoot
+    shoot = schrodinger1d.shoot_mismatch
 
     def counted(*args):
         calls.append(args)
         return shoot(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(schrodinger1d, "_shoot", counted)
+        patch.setattr(schrodinger1d, "shoot_mismatch", counted)
         result = find_eigenvalues(potential, window, 64)
     return result, len(calls) / len(result.energies)
 
@@ -593,14 +593,14 @@ def test_tabulated_window_costs_at_most_2_3_sweeps_per_level():
 def _recorded_sweeps():
     """The energies of the shooting sweeps made inside the block."""
     energies = []
-    shoot = schrodinger1d._shoot
+    shoot = schrodinger1d.shoot_mismatch
 
     def recorded(potential, energy, *args):
         energies.append(energy)
         return shoot(potential, energy, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(schrodinger1d, "_shoot", recorded)
+        patch.setattr(schrodinger1d, "shoot_mismatch", recorded)
         yield energies
 
 
@@ -667,7 +667,7 @@ def test_a_sweep_at_each_level_would_end_the_polish(potential, window, grid):
     result = find_eigenvalues(potential, window, 64, grid)
     tolerance = _polish_tolerance(potential, grid, result.energies)
     for k, energy, limit in zip(result.node_counts, result.energies, tolerance):
-        count, w, _, marches = schrodinger1d._shoot(potential, energy, grid, v)
+        count, w, _, marches = schrodinger1d.shoot_mismatch(potential, energy, grid, v)
         slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
         assert count in (k, k + 1), k
         assert abs(w) / slope <= limit, k
@@ -753,9 +753,9 @@ def test_newton_slope_matches_a_central_difference(potential, level, offset):
     v = potential.evaluate(grid.points())
     exact = harmonic_level(level) if potential.kind == "harmonic" else well_level(level + 1)
     energy = exact + offset
-    _, _, im, marches = schrodinger1d._shoot(potential, energy, grid, v)
+    _, _, im, marches = schrodinger1d.shoot_mismatch(potential, energy, grid, v)
     slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
-    w_hi, w_lo = (schrodinger1d._shoot(potential, energy + d, grid, v, im)[1]
+    w_hi, w_lo = (schrodinger1d.shoot_mismatch(potential, energy + d, grid, v, im)[1]
                   for d in (1e-5, -1e-5))
     assert slope == pytest.approx(abs(w_hi - w_lo) / 2e-5, rel=0.05)
 
@@ -777,7 +777,7 @@ def test_newton_slope_matches_the_log_form_sums(potential, grid, energies):
     # sums taken in log form, sweep by sweep.
     v = potential.evaluate(grid.points())
     for energy in energies:
-        marches = schrodinger1d._shoot(potential, energy, grid, v)[3]
+        marches = schrodinger1d.shoot_mismatch(potential, energy, grid, v)[3]
         slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
         expected = log_form_match_slope(*marches, grid.spacing)
         assert slope == pytest.approx(expected, rel=1e-12), energy
@@ -800,10 +800,10 @@ def test_a_level_near_the_soft_edge_polishes_on_the_slope_with_the_seed_terms():
     limit = _polish_tolerance(potential, grid, result.energies)[0]
     assert abs(energy - 17.411712646237095) <= limit
     v = potential.evaluate(grid.points())
-    _, _, im, marches = schrodinger1d._shoot(potential, energy, grid, v)
+    _, _, im, marches = schrodinger1d.shoot_mismatch(potential, energy, grid, v)
     slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
     for d in (1e-7, 1e-5, 1e-3):
-        w_hi, w_lo = (schrodinger1d._shoot(potential, energy + e, grid, v, im)[1]
+        w_hi, w_lo = (schrodinger1d.shoot_mismatch(potential, energy + e, grid, v, im)[1]
                       for e in (d, -d))
         assert slope == pytest.approx(abs(w_hi - w_lo) / (2.0 * d), rel=1e-4), d
 
@@ -832,21 +832,21 @@ def test_action_guess_solves_the_trapezoid_action(potential, grid, top):
 
 def _solve_counting_calls(potential, window, grid=None):
     """find_eigenvalues' result over ``window`` (up to 64 levels), its calls
-    of _shoot, _ratios and Potential.evaluate, and under "matched at" the
+    of shoot_mismatch, _ratios and Potential.evaluate, and under "matched at" the
     matching indices its sweeps took."""
-    calls = {"_shoot": 0, "_ratios": 0, "evaluate": 0, "matched at": set()}
+    calls = {"shoot_mismatch": 0, "_ratios": 0, "evaluate": 0, "matched at": set()}
 
     def counting(name, function):
         def counted(*args, **kwargs):
             calls[name] += 1
             result = function(*args, **kwargs)
-            if name == "_shoot":
+            if name == "shoot_mismatch":
                 calls["matched at"].add(result[2])
             return result
         return counted
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_shoot", "_ratios"):
+        for name in ("shoot_mismatch", "_ratios"):
             patch.setattr(schrodinger1d, name, counting(name, getattr(schrodinger1d, name)))
         patch.setattr(Potential, "evaluate", counting("evaluate", Potential.evaluate))
         result = find_eigenvalues(potential, window, 64, grid)
@@ -866,7 +866,7 @@ def test_one_march_a_sweep_on_mirror_samples_else_two(potential, window, marches
     # one sample of the potential that find_eigenvalues takes.
     result, calls = _solve_counting_calls(potential, window)
     assert len(result.energies) >= 3
-    assert calls["_ratios"] == marches * calls["_shoot"]
+    assert calls["_ratios"] == marches * calls["shoot_mismatch"]
     assert calls["evaluate"] == 1
 
 
@@ -898,20 +898,21 @@ _LINSPACE_TABLE = Potential.tabulated(_LINSPACE_Q, 0.5 * _LINSPACE_Q**2)
 
 def _counted_sweep(energy, v, decay_seeds=schrodinger1d._decay_seeds,
                    potential=_LINSPACE_TABLE, im=None, grid=None):
-    """_shoot on ``grid``, by default the potential's own (at the rightmost
+    """shoot_mismatch on ``grid``, by default the potential's own (at the rightmost
     turning point unless ``im`` is given), and its number of _ratios calls."""
     calls = []
     ratios = schrodinger1d._ratios
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(schrodinger1d, "_ratios", lambda *args: calls.append(1) or ratios(*args))
         patch.setattr(schrodinger1d, "_decay_seeds", decay_seeds)
-        sweep = schrodinger1d._shoot(potential, energy, grid or potential.default_grid(), v, im)
+        sweep = schrodinger1d.shoot_mismatch(potential, energy, grid or potential.default_grid(),
+                                             v, im)
     return sweep, len(calls)
 
 
 def _listed_seeds(*args, decay_seeds=schrodinger1d._decay_seeds):
     # The right seed as a list compares unequal to the left one, a tuple of
-    # the same values, so _shoot marches b although its coefficients mirror.
+    # the same values, so shoot_mismatch marches b although its coefficients mirror.
     seed_l, seed_r = decay_seeds(*args)
     return seed_l, list(seed_r)
 
@@ -966,7 +967,7 @@ def test_a_prefix_side_rescales_the_left_product(potential, energy):
     # _end_scaled(b) takes one of b's: each sample carries at most about one
     # ulp per factor from it to a's end on each side.
     grid = potential.default_grid()
-    _, _, _, marches = schrodinger1d._shoot(potential, energy, grid)
+    _, _, _, marches = schrodinger1d.shoot_mismatch(potential, energy, grid)
     (left, *_), (right, *_) = marches
     assert right.base is left
     _, _, _, (t, factors) = schrodinger1d._match_slope(potential, grid, *marches)
@@ -982,7 +983,7 @@ def test_a_prefix_side_ending_on_a_zero_sample_is_scaled_afresh(monkeypatch):
     # where a's product over its end reads exactly 0: no scale to divide by.
     grid = RealGrid(0.0, 1.0, 11)
     well = Potential.infinite_well(1.0)
-    _, _, _, marches = schrodinger1d._shoot(well, 120.0, grid, None, 6)
+    _, _, _, marches = schrodinger1d.shoot_mismatch(well, 120.0, grid, None, 6)
     (left, *_), (right, *_) = marches
     assert right.base is left and len(right) == 4
     end_scaled = schrodinger1d._end_scaled
@@ -1012,7 +1013,7 @@ def test_a_mirror_table_gives_the_two_march_levels(shape):
     grid = RealGrid(-6.0, 6.0, 4001)
     q = grid.points()
     result, calls = _solve_counting_calls(Potential.tabulated(q, shape(q)), (0.0, 40.0))
-    assert calls["_ratios"] == calls["_shoot"]
+    assert calls["_ratios"] == calls["shoot_mismatch"]
     potential = Potential.tabulated(q, _nudged(shape(q)))
     reference, calls = _solve_counting_calls(potential, (0.0, 40.0))
     assert (grid.n_points - 1) // 2 not in calls["matched at"]
@@ -1026,7 +1027,7 @@ def test_a_mirror_table_matches_the_matrix_oracle(shape):
     grid = RealGrid(-6.0, 6.0, 801)
     potential = Potential.tabulated(grid.points(), shape(grid.points()))
     result, calls = _solve_counting_calls(potential, (0.0, 40.0), grid)
-    assert calls["_ratios"] == calls["_shoot"]
+    assert calls["_ratios"] == calls["shoot_mismatch"]
     levels = matrix_numerov_levels(potential.evaluate(grid.points()), grid.spacing)
     oracle = levels[(levels > 0.0) & (levels < 40.0)]
     assert len(result.energies) == len(oracle) >= 12
@@ -1044,7 +1045,7 @@ def test_an_even_point_grid_gives_the_two_march_levels(potential, window, grid, 
     # The centre index (n - 1)//2 of an even count leaves the right march
     # the whole of the left one.
     result, calls = _solve_counting_calls(potential, window, grid)
-    assert calls["_ratios"] == calls["_shoot"]
+    assert calls["_ratios"] == calls["shoot_mismatch"]
     evaluate = Potential.evaluate
     monkeypatch.setattr(Potential, "evaluate", lambda self, q: _nudged(evaluate(self, q)))
     reference, calls = _solve_counting_calls(potential, window, grid)
@@ -1087,7 +1088,7 @@ def test_one_sweep_count_equals_full_grid_node_count(potential, grid, top):
     q = grid.points()
     for energy in np.linspace(0.0137, top, 300):
         g = 2.0 * (energy - potential.evaluate(q))
-        count = schrodinger1d._shoot(potential, float(energy), grid)[0]
+        count = schrodinger1d.shoot_mismatch(potential, float(energy), grid)[0]
         assert count == numerov_node_count(g, grid.spacing), energy
 
 
@@ -1099,7 +1100,7 @@ def test_count_sees_a_node_on_an_exact_zero_sample_once():
     grid = RealGrid(0.0, 1.0, 11)
     well = Potential.infinite_well(1.0)
     energies = (120.0 - 1e-7, 120.0, 120.0 + 1e-7)
-    shots = [schrodinger1d._shoot(well, e, grid) for e in energies]
+    shots = [schrodinger1d.shoot_mismatch(well, e, grid) for e in energies]
     counts = [shot[0] for shot in shots]
     assert counts == [4, 4, 5]
     assert shots[1][1] == 0.0  # the match vanishes on the level
@@ -1182,6 +1183,17 @@ def test_inconsistent_samples_rejected():
     u = Wavefunction(grid, np.sin(q), 0.5)
     v = Wavefunction(grid, q.copy(), 0.5)
     with pytest.raises(DegeneratePair):
+        pair_from_wavefunctions(u, v, Potential.free())
+
+
+def test_a_slightly_inconsistent_pair_is_refused_by_the_relative_spread():
+    # cos q and sin 1.001q: the Wronskian profile stays within half its
+    # median, so only the relative spread check (5.2e-4 against 1e-7) refuses.
+    grid = RealGrid(0.5, 10.0, 2001)
+    q = grid.points()
+    u = Wavefunction(grid, np.cos(q), 0.5)
+    v = Wavefunction(grid, np.sin(1.001 * q), 0.5)
+    with pytest.raises(DegeneratePair, match="varies"):
         pair_from_wavefunctions(u, v, Potential.free())
 
 

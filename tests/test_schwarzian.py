@@ -113,6 +113,15 @@ def test_schwarzian_works_on_minimal_grid():
     assert np.abs(result.values - 2.0).max() < 1e-6
 
 
+def test_huge_spacing_gives_a_finite_schwarzian():
+    # h^3 is past the float range at h = 1e120/12: the centred differences
+    # divide by inf there instead of raising OverflowError.
+    grid = grid_on(0.0, 1e120, 13)
+    result = schwarzian(sample(grid, lambda q: q))
+    assert np.all(np.isfinite(result.values))
+    assert np.abs(result.values).max() * grid.spacing * grid.spacing < 1e-20
+
+
 def test_codomain_affine_rescale_preserves_schwarzian():
     grid = grid_on(0.1, 1.0)
     f = sampled_with_exact_derivatives(sp.tan(X), grid)
