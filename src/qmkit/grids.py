@@ -136,16 +136,19 @@ def fd1(values: np.ndarray, spacing: float) -> np.ndarray:
 
 def fd2(values: np.ndarray, spacing: float) -> np.ndarray:
     """Centered second derivative; length n-2, aligned to points 1..n-2."""
-    # Products, not **: a float power past the float range raises, a
-    # product reads inf.
     return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (spacing * spacing)
 
 
 def fd3(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Centered third derivative; length n-4, aligned to points 2..n-3."""
-    return (
-        values[4:] - 2.0 * values[3:-1] + 2.0 * values[1:-3] - values[:-4]
-    ) / (2.0 * spacing * spacing * spacing)
+    """Centered third derivative; length n-4, aligned to points 2..n-3.
+
+    Raises ValueError where 2 h^3 leaves the float range (h above about
+    5.6e102): dividing by inf would read 0 and silently drop the term."""
+    cube = 2.0 * spacing * spacing * spacing
+    if not math.isfinite(cube):
+        raise ValueError(f"grid spacing {spacing:.3g} cubed leaves the float range; "
+                         "the third difference is not representable")
+    return (values[4:] - 2.0 * values[3:-1] + 2.0 * values[1:-3] - values[:-4]) / cube
 
 
 def derivative_table(

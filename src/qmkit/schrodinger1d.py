@@ -465,7 +465,11 @@ def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid,
     sine of the angle between the tails, so it lies in [-1, 1], has no
     poles, is smooth in energy at fixed im and vanishes exactly at the
     levels.  The Sturm count (a's sign changes up to im, b's from im on,
-    plus one when b1/b0 > a1/a0) does not depend on im."""
+    plus one when b1/b0 > a1/a0) does not depend on im.
+
+    Only w and the count are the stable contract.  ``v``, ``im`` and the
+    marches are the solver's internal data, for :func:`find_eigenvalues`'
+    Newton step, and may change with it."""
     if v is None:
         v = potential.evaluate(grid.points())
     c = _coefficients(potential, energy, grid, v)
@@ -863,8 +867,10 @@ def _validated_wronskian(
 def _taylor_start(g: np.ndarray, h: float, i0: int, value: float,
                   derivative: float) -> tuple[float, float]:
     """Fourth-order series values at q0 +/- h from (psi, psi') at q0."""
-    # Python floats and products, not **: on a huge spacing they overflow
-    # to inf silently, and the march reports Overflow.
+    # On a huge spacing these overflow to inf and the march reports Overflow.
+    # fd1/fd2 are numpy and warn where they overflow, so the caller silences
+    # over/invalid warnings (as solution_pair does); the rest are Python
+    # floats and products, not **, which reach inf where ** would raise.
     g0, stencil = float(g[i0]), g[i0 - 1:i0 + 2]
     g1, g2 = fd1(stencil, h).item(), fd2(stencil, h).item()
     d2 = -g0 * value

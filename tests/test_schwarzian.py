@@ -113,13 +113,26 @@ def test_schwarzian_works_on_minimal_grid():
     assert np.abs(result.values - 2.0).max() < 1e-6
 
 
-def test_huge_spacing_gives_a_finite_schwarzian():
-    # h^3 is past the float range at h = 1e120/12: the centred differences
-    # divide by inf there instead of raising OverflowError.
-    grid = grid_on(0.0, 1e120, 13)
-    result = schwarzian(sample(grid, lambda q: q))
-    assert np.all(np.isfinite(result.values))
-    assert np.abs(result.values).max() * grid.spacing * grid.spacing < 1e-20
+def test_a_large_spacing_keeps_the_third_derivative_term():
+    # exp(kq) at kh = 1/3: {f, q} h^2 is the same on h = 1 and on
+    # h = 1e100/12, where h^3 is near 1e297.  Without the f'''/f' term
+    # it would read three times too large.
+    def scaled(length: float) -> np.ndarray:
+        grid = grid_on(0.0, length, 13)
+        f = sample(grid, lambda q: np.exp(q * (4.0 / length)))
+        return schwarzian(f).values * grid.spacing * grid.spacing
+
+    unit, large = scaled(12.0), scaled(1e100)
+    assert np.abs(unit + 0.5 / 9.0).max() < 0.01
+    np.testing.assert_allclose(large, unit, rtol=1e-12)
+
+
+@pytest.mark.parametrize("func", [lambda q: q, lambda q: np.exp(q / 2.5e119)],
+                         ids=["linear", "exponential"])
+def test_a_spacing_whose_cube_leaves_the_float_range_is_refused(func):
+    # At h = 1e120/12, 2 h^3 is inf: the third difference would read 0.
+    with pytest.raises(ValueError, match="cubed"):
+        schwarzian(sample(grid_on(0.0, 1e120, 13), func))
 
 
 def test_codomain_affine_rescale_preserves_schwarzian():
