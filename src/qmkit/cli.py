@@ -63,20 +63,21 @@ def _build_parser() -> _Parser:
 
     # spectrum and trajectory write data; audit writes only its JSON report.
     data = _Parser(add_help=False)
-    data.add_argument("--grid", help="qmin:qmax:n, e.g. -10:10:4001")
+    data.add_argument("--grid", type=_parse_grid, help="qmin:qmax:n, e.g. -10:10:4001")
     data.add_argument("--format", choices=("csv", "json"), default="csv")
     data.add_argument("--out", help="write data to this file instead of stdout")
 
     p_spec = sub.add_parser("spectrum", parents=[data],
                             help="bound-state energies and node counts")
-    p_spec.add_argument("--potential", required=True)
-    p_spec.add_argument("--range", required=True, dest="energy_range", help="lo:hi")
+    p_spec.add_argument("--potential", type=parse_potential, required=True)
+    p_spec.add_argument("--range", type=_parse_range, required=True, dest="energy_range",
+                        help="lo:hi")
     p_spec.add_argument("--count", type=int, default=64, help="maximum levels to report")
     p_spec.set_defaults(run=cmd_spectrum)
 
     p_traj = sub.add_parser("trajectory", parents=[data],
                             help="time-parameterized path (t, q, p)")
-    p_traj.add_argument("--potential", required=True)
+    p_traj.add_argument("--potential", type=parse_potential, required=True)
     p_traj.add_argument("--energy", type=float, required=True)
     p_traj.set_defaults(run=cmd_trajectory)
 
@@ -90,9 +91,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_grid(text: str | None) -> RealGrid | None:
-    if text is None:
-        return None
+def _parse_grid(text: str) -> RealGrid:
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"--grid wants qmin:qmax:n, got {text!r}")
@@ -110,10 +109,6 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise _UsageError(f"bad range {text!r}: {exc}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise _UsageError(f"--range bounds must be finite, got {text!r}")
-    if not lo < hi:
-        raise _UsageError(f"--range needs lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -195,13 +190,9 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .schrodinger1d import find_eigenvalues
 
-    grid = _parse_grid(args.grid)
-    potential = parse_potential(args.potential)
-    e_range = _parse_range(args.energy_range)
-    if args.count < 1:
-        raise _UsageError("--count must be at least 1")
+    e_range = args.energy_range
     try:
-        result = find_eigenvalues(potential, e_range, args.count, grid=grid)
+        result = find_eigenvalues(args.potential, e_range, args.count, grid=args.grid)
     except NoEigenvalueInRange as exc:
         print(f"no levels: {exc}", file=sys.stderr)
         return _EXIT_EMPTY
@@ -219,11 +210,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     from .qshje import (floyd_trajectory, qshje_residual, suggest_trajectory_grid,
                         write_trajectory_csv)
 
-    grid = _parse_grid(args.grid)
-    potential = parse_potential(args.potential)
-    energy = args.energy
-    if not math.isfinite(energy):
-        raise _UsageError("--energy must be finite")
+    grid, potential, energy = args.grid, args.potential, args.energy
     if grid is None:
         # The potential's generic default grid is wrong for trajectory work:
         # deep forbidden tails starve the time column of resolvable increments.

@@ -263,8 +263,12 @@ def _scan_grid(potential: Potential, energy: float,
     reaches `_TAIL_ACTION` (or to the probe's end), at 80 samples per
     shortest wavelength.  The pair is marched outward from the centre, so
     deeper tails would only amplify the growing solution, by
-    e^(2*_TAIL_ACTION), and with it the roundoff.
+    e^(2*_TAIL_ACTION), and with it the roundoff.  A non-finite ``energy``
+    raises ValueError.
     """
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy!r}")
+
     def confining(box):  # both ends classically forbidden
         return bool((potential.evaluate(np.array(box)) > energy).all())
 
@@ -334,17 +338,11 @@ def classical_limit_scan(potential: Potential, energy: float, hbar_sequence) -> 
         q_pot = quantum_potential(action)
 
         width = q_hi_t - q_lo_t
-        lo, hi = q_lo_t + 0.1 * width, q_hi_t - 0.1 * width
-        qs = q_pot.grid.points()
-        inside = (qs >= lo) & (qs <= hi)
-        sup_q = float(np.abs(q_pot.values[inside]).max())
-
-        qs_full = grid.points()
-        inside_full = (qs_full >= lo) & (qs_full <= hi)
-        p = action.S0_prime[inside_full]
-        p_classical = np.sqrt(
-            2.0 * scaled.mass * (energy - potential.evaluate(qs_full[inside_full]))
-        )
+        qs = grid.points()
+        inside = (qs >= q_lo_t + 0.1 * width) & (qs <= q_hi_t - 0.1 * width)
+        sup_q = float(np.abs(q_pot.values[inside[1:-1]]).max())  # Q lives on points 1..n-2
+        p = action.S0_prime[inside]
+        p_classical = np.sqrt(2.0 * scaled.mass * (energy - potential.evaluate(qs[inside])))
         deviation = float(
             np.minimum(np.abs(p - p_classical), np.abs(p + p_classical)).max()
         )

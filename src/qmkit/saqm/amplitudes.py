@@ -12,6 +12,7 @@ conjugate of the forward one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Hashable
 
 import numpy as np
@@ -54,17 +55,10 @@ class AmplitudeNetwork:
         if any(u == v for u, v, _ in edges):
             raise ValueError("self-loops are not allowed")
         successors, predecessors = _adjacency((u, v) for u, v, _ in edges)
-        incoming = {n: len(p) for n, p in predecessors.items()}
-        ready = [n for n, k in incoming.items() if k == 0]
-        ordered = 0
-        while ready:
-            ordered += 1
-            for m in successors[ready.pop()]:
-                incoming[m] -= 1
-                if incoming[m] == 0:
-                    ready.append(m)
-        if ordered != len(incoming):
-            raise ValueError("network contains a cycle")
+        try:
+            TopologicalSorter(predecessors).prepare()
+        except CycleError:
+            raise ValueError("network contains a cycle") from None
         forward = _reachable(self.source, successors)
         backward = _reachable(self.sink, predecessors)
         stranded = {self.source, self.sink, *successors} - (forward & backward)

@@ -310,7 +310,10 @@ def _coefficients(potential: Potential, energy: float, grid: RealGrid,
     sampled potential, s the Numerov scale; a value past the float range
     reads inf.  A coefficient c_i <= 0 (a spacing h of at least sqrt(12)
     decay lengths) raises GridTooSmall, naming the shortest decay length
-    h/sqrt(12 (1 - c_min)) at ``energy``."""
+    h/sqrt(12 (1 - c_min)) at ``energy``.  A non-finite ``energy`` raises
+    ValueError: every sweep and every solution pair starts here."""
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy!r}")
     with np.errstate(over="ignore"):
         c = 1.0 + _numerov_scale(potential, grid) * (energy - v)
     low = float(c.min())

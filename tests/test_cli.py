@@ -226,6 +226,21 @@ def test_extreme_finite_parameters_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and "float range" in err
 
 
+@pytest.mark.parametrize("argv, condition", [
+    (("spectrum", "--potential", "harmonic", "--range", "nan:1"), "finite"),
+    (("spectrum", "--potential", "harmonic", "--range", "5:1"), "lo < hi"),
+    (("spectrum", "--potential", "harmonic", "--range", "0:inf"), "finite"),
+    (("spectrum", "--potential", "harmonic", "--range", "0:6", "--count", "0"), "at least 1"),
+    (("trajectory", "--potential", "harmonic", "--energy", "inf"), "finite"),
+], ids=["range-nan", "range-reversed", "range-inf", "count-zero", "energy-inf"])
+def test_values_the_library_refuses_are_input_errors(capsys, argv, condition):
+    # The library checks these values; the command line reports its refusal.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and condition in err
+
+
 @pytest.mark.parametrize("length", ["1e100", "1e150"])
 def test_huge_well_trajectory_reports_overflow(capsys, length):
     # The well's energy unit stays in range, but the suggested grid spacing

@@ -23,6 +23,7 @@ from qmkit import (
     qshje_residual,
     quantum_potential,
     reduced_action_from_pair,
+    shoot_mismatch,
     solution_pair,
     suggest_trajectory_grid,
     write_residual_csv,
@@ -333,6 +334,23 @@ class TestScanGrid:
         for rule in (_scan_grid, scan_grid_by_walk):
             with pytest.raises(ValueError, match="below the potential minimum"):
                 rule(SCAN_POTENTIALS[name], -0.5)
+
+
+# Each library function that takes an energy, called at one energy.
+_AT_ENERGY = {
+    "shoot_mismatch": lambda e: shoot_mismatch(Potential.harmonic(), e, RealGrid(-6.0, 6.0, 2001)),
+    "solution_pair": lambda e: solution_pair(Potential.harmonic(), e, BIPOLAR_GRID),
+    "floyd_trajectory": lambda e: floyd_trajectory(Potential.harmonic(), e, BIPOLAR_GRID),
+    "suggest_trajectory_grid": lambda e: suggest_trajectory_grid(Potential.harmonic(), e),
+    "classical_limit_scan": lambda e: classical_limit_scan(Potential.harmonic(), e, [1.0]),
+}
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_AT_ENERGY))
+def test_a_non_finite_energy_is_refused(name, energy):
+    with pytest.raises(ValueError, match="finite"):
+        _AT_ENERGY[name](energy)
 
 
 class TestCsvExports:
