@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Container
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,15 +62,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qmkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # spectrum and trajectory write data; audit writes only its JSON report.
+    # spectrum and trajectory solve a potential and write data; audit writes
+    # only its JSON report.
     data = _Parser(add_help=False)
+    data.add_argument("--potential", type=parse_potential, required=True, help=_POTENTIAL_HELP)
     data.add_argument("--grid", type=_parse_grid, help="qmin:qmax:n, e.g. -10:10:4001")
     data.add_argument("--format", choices=("csv", "json"), default="csv")
     data.add_argument("--out", help="write data to this file instead of stdout")
 
     p_spec = sub.add_parser("spectrum", parents=[data],
                             help="bound-state energies and node counts")
-    p_spec.add_argument("--potential", type=parse_potential, required=True)
     p_spec.add_argument("--range", type=_parse_range, required=True, dest="energy_range",
                         help="lo:hi")
     p_spec.add_argument("--count", type=int, default=64, help="maximum levels to report")
@@ -77,7 +79,6 @@ def _build_parser() -> _Parser:
 
     p_traj = sub.add_parser("trajectory", parents=[data],
                             help="time-parameterized path (t, q, p)")
-    p_traj.add_argument("--potential", type=parse_potential, required=True)
     p_traj.add_argument("--energy", type=float, required=True)
     p_traj.set_defaults(run=cmd_trajectory)
 
@@ -112,74 +113,73 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _parse_assignments(items: list[str], names: Container[str], what: str) -> dict[str, float]:
+    """Each NAME=VALUE item as {NAME: float(VALUE)}, the last item of a name
+    winning; every NAME must be one of ``names``, and ``what`` names an item
+    in messages."""
+    values: dict[str, float] = {}
+    for item in items:
+        name, sep, value = item.partition("=")
+        if not sep:
+            raise _UsageError(f"{what} wants NAME=VALUE, got {item!r}")
+        if name not in names:
+            raise _UsageError(f"unknown {what} {name!r}")
+        try:
+            values[name] = float(value)
+        except ValueError as exc:
+            raise _UsageError(f"bad {what} value in {item!r}") from exc
+    return values
+
+
 def _parse_overrides(pairs: list[str]) -> dict[str, float]:
     """The audit tolerances: the defaults, each NAME=VALUE pair's value in
-    place of its name's (the last pair of a name wins), every name known and
-    every value positive and finite."""
-    overrides: dict[str, float] = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise _UsageError(f"--tol-override wants NAME=VALUE, got {pair!r}")
-        try:
-            overrides[name] = float(value)
-        except ValueError as exc:
-            raise _UsageError(f"bad tolerance value in {pair!r}") from exc
+    place of its name's, every value positive and finite."""
+    overrides = _parse_assignments(pairs, _DEFAULT_TOLERANCES, "tolerance")
     for name, value in overrides.items():
-        if name not in _DEFAULT_TOLERANCES:
-            raise _UsageError(f"unknown tolerance name {name!r}")
         if not 0 < value < math.inf:
             raise _UsageError(f"tolerance {name} must be positive and finite")
     return {**_DEFAULT_TOLERANCES, **overrides}
 
 
-def _parse_params(text: str, allowed: dict[str, float]) -> dict[str, float]:
-    """Parse 'k=v,k=v' against a dict of allowed keys with defaults."""
-    params = dict(allowed)
-    if not text:
-        return params
-    for item in text.split(","):
-        key, sep, value = item.partition("=")
-        if not sep or key not in allowed:
-            raise _UsageError(f"bad potential parameter {item!r}")
-        try:
-            params[key] = float(value)
-        except ValueError as exc:
-            raise _UsageError(f"bad potential parameter {item!r}") from exc
-    return params
+# Each ``--potential`` kind: its ``Potential`` kind, and the ``Potential``
+# field each parameter sets.  Parameters left out keep the field's default.
+_POTENTIAL_KINDS: dict[str, tuple[str, dict[str, str]]] = {
+    "harmonic": ("harmonic", {"m": "mass", "w": "omega"}),
+    "well": ("infinite_well", {"L": "length", "m": "mass"}),
+    "linear": ("linear", {"a": "slope", "m": "mass"}),
+    "free": ("free", {"m": "mass"}),
+}
+
+_POTENTIAL_HELP = ", ".join(
+    f"{kind}[:{','.join(f'{name}=..' for name in fields)}]"
+    for kind, (_, fields) in _POTENTIAL_KINDS.items()
+) + " or table:PATH (a q,V CSV)"
 
 
 def parse_potential(text: str) -> Potential:
-    """Mini-grammar: harmonic[:m=..,w=..], well[:L=..,m=..],
-    linear[:a=..,m=..], free[:m=..], table:PATH."""
+    """A ``--potential`` value: ``table:PATH``, or a kind of
+    ``_POTENTIAL_KINDS`` with optional ``:NAME=VALUE,...`` parameters."""
     from .schrodinger1d import Potential, load_potential_table
 
     kind, _, rest = text.partition(":")
     try:
-        if kind == "harmonic":
-            p = _parse_params(rest, {"m": 1.0, "w": 1.0})
-            return Potential.harmonic(mass=p["m"], omega=p["w"])
-        if kind == "well":
-            p = _parse_params(rest, {"L": 1.0, "m": 1.0})
-            return Potential.infinite_well(length=p["L"], mass=p["m"])
-        if kind == "linear":
-            p = _parse_params(rest, {"a": 1.0, "m": 1.0})
-            return Potential.linear(slope=p["a"], mass=p["m"])
-        if kind == "free":
-            p = _parse_params(rest, {"m": 1.0})
-            return Potential.free(mass=p["m"])
         if kind == "table":
             if not rest:
                 raise _UsageError("table potential wants table:PATH")
             return load_potential_table(rest)
+        if kind in _POTENTIAL_KINDS:
+            shape, fields = _POTENTIAL_KINDS[kind]
+            params = _parse_assignments(rest.split(",") if rest else [], fields,
+                                        "potential parameter")
+            return Potential(shape, **{fields[name]: value for name, value in params.items()})
     except (OSError, ValueError, QmkitError) as exc:
         raise _UsageError(f"bad potential spec {text!r}: {exc}") from exc
     raise _UsageError(f"unknown potential kind {kind!r}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    """Write text ending in a newline to stdout or to ``out_path``."""
-    text = text if text.endswith("\n") else text + "\n"
+    """Write text and a newline to stdout or to ``out_path``."""
+    text += "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -410,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GridTooSmall, NodeCountMismatch) as exc:  # from a spectrum or trajectory grid
         print(f"error: {exc}; try a finer --grid qmin:qmax:n", file=sys.stderr)
         return _EXIT_USAGE
-    except (_UsageError, ValueError, QmkitError, OSError) as exc:
+    except (_UsageError, ValueError, QmkitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except SystemExit as exc:  # argparse --help

@@ -241,6 +241,41 @@ def test_values_the_library_refuses_are_input_errors(capsys, argv, condition):
     assert err.startswith("error:") and condition in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("spectrum", "--potential", "harmonic", "--range=a:1"), "'a:1'"),
+    (("audit", "all", "--tol-override", "cocycle"), "'cocycle'"),
+    (("spectrum", "--potential", "harmonic:w=x", "--range", "0:3"), "'w=x'"),
+    (("spectrum", "--potential", "table:", "--range", "0:3"), "table:"),
+    (("spectrum", "--potential", "harmonic:q=1", "--range", "0:3"), "'q"),
+    (("spectrum", "--potential", "well:w=1", "--range", "0:3"), "'w"),
+], ids=["range-not-a-number", "override-without-equals", "parameter-not-a-number",
+        "table-without-path", "harmonic-unknown-parameter", "well-unknown-parameter"])
+def test_a_malformed_item_is_an_input_error_that_names_it(capsys, argv, named):
+    # ``named`` is the offending item, or the start of its quoted name.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--potential", "harmonic", "--range", "0:3"),
+    ("trajectory", "--potential", "harmonic", "--energy", "0.5"),
+], ids=["spectrum", "trajectory"])
+def test_a_grid_too_large_to_allocate_is_a_usage_error(argv):
+    # 1e17 points need hundreds of PiB, more than the 2^57-byte virtual
+    # address space of any current 64-bit processor, so numpy's request is
+    # refused at once, also where the kernel overcommits memory.
+    src = str(Path(qmkit.__file__).resolve().parents[1])
+    grid = "--grid=-10:10:100000000000000000"
+    done = subprocess.run([sys.executable, "-m", "qmkit", *argv, grid], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("length", ["1e100", "1e150"])
 def test_huge_well_trajectory_reports_overflow(capsys, length):
     # The well's energy unit stays in range, but the suggested grid spacing

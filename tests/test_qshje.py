@@ -13,8 +13,13 @@ import numpy as np
 import pytest
 
 from qmkit import (
+    EigenResult,
     Potential,
     RealGrid,
+    ReducedAction,
+    SampledFunction,
+    SolutionPair,
+    Trajectory,
     Wavefunction,
     bipolar_reconstruct,
     classical_limit_scan,
@@ -351,6 +356,54 @@ _AT_ENERGY = {
 def test_a_non_finite_energy_is_refused(name, energy):
     with pytest.raises(ValueError, match="finite"):
         _AT_ENERGY[name](energy)
+
+
+_NINE = RealGrid(0.0, 1.0, 9)
+_ONES = np.ones(9)
+
+
+def _wave(values=_ONES, grid=_NINE, energy=1.0) -> Wavefunction:
+    return Wavefunction(grid, values, energy)
+
+
+# Each value check of the wave side's records and functions: a call that
+# fails it, and the message it raises.
+_REFUSED = {
+    "forbidden-edge": (lambda: shoot_mismatch(Potential.harmonic(), 60.0,
+                                              RealGrid(-10.0, 10.0, 4001)),
+                       "not classically forbidden"),
+    "pair-on-two-grids": (lambda: SolutionPair(_wave(), _wave(grid=RealGrid(0.0, 2.0, 9)), 1.0),
+                          "share one grid"),
+    "pair-at-two-energies": (lambda: SolutionPair(_wave(), _wave(energy=2.0), 1.0),
+                             "share one energy"),
+    "eigen-field-lengths": (lambda: EigenResult(np.array([0.5, 1.5]), (0,), (_wave(),)),
+                            "matching lengths"),
+    "eigen-decreasing": (lambda: EigenResult(np.array([1.5, 0.5]), (0, 1), (_wave(), _wave())),
+                         "strictly increasing"),
+    "wavefunction-length": (lambda: _wave(np.ones(8)), "matching the grid"),
+    "sampled-length": (lambda: SampledFunction(_NINE, np.ones(8)), "matching the grid"),
+    "sampled-two-derivatives": (lambda: SampledFunction(_NINE, _ONES, (_ONES, _ONES)),
+                                "all three orders"),
+    "action-zero-momentum": (lambda: ReducedAction(_NINE, _ONES, np.arange(9.0), 1.0, 1.0, 1.0),
+                             "never vanish"),
+    "action-zero-hbar": (lambda: ReducedAction(_NINE, _ONES, _ONES, 1.0, 0.0, 1.0),
+                         "must be positive"),
+    "pair-vanishing-together": (lambda: reduced_action_from_pair(
+        SolutionPair(_wave(np.arange(9.0)), _wave(np.arange(9.0) ** 2), 1.0),
+        hbar=1.0, mass=1.0), "vanish together"),
+    "trajectory-lengths": (lambda: Trajectory(np.arange(3.0), np.arange(2.0), np.arange(3.0), 1.0,
+                                              ReducedAction(_NINE, _ONES, _ONES, 1.0, 1.0, 1.0)),
+                           "matching lengths"),
+    "well-negative-length": (lambda: Potential.infinite_well(length=-1.0),
+                             "length must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_a_wave_side_value_check_refuses(name):
+    call, message = _REFUSED[name]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestCsvExports:
