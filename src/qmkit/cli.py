@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections.abc import Container
 from typing import TYPE_CHECKING
@@ -49,7 +50,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exceptions."""
+    """argparse variant that reports usage problems as exceptions and reads
+    a token starting with "-" and a digit, or "-." and a digit, as a value
+    (``--grid -10:10:4001``), as argparse does from Python 3.13 on; no
+    option of qmkit looks like that."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise _UsageError(message)
@@ -66,14 +74,15 @@ def _build_parser() -> _Parser:
     # only its JSON report.
     data = _Parser(add_help=False)
     data.add_argument("--potential", type=parse_potential, required=True, help=_POTENTIAL_HELP)
-    data.add_argument("--grid", type=_parse_grid, help="qmin:qmax:n, e.g. -10:10:4001")
+    data.add_argument("--grid", type=_parse_grid, metavar="QMIN:QMAX:N",
+                      help="qmin:qmax:n, e.g. -10:10:4001")
     data.add_argument("--format", choices=("csv", "json"), default="csv")
     data.add_argument("--out", help="write data to this file instead of stdout")
 
     p_spec = sub.add_parser("spectrum", parents=[data],
                             help="bound-state energies and node counts")
     p_spec.add_argument("--range", type=_parse_range, required=True, dest="energy_range",
-                        help="lo:hi")
+                        metavar="LO:HI", help="lo:hi")
     p_spec.add_argument("--count", type=int, default=64, help="maximum levels to report")
     p_spec.set_defaults(run=cmd_spectrum)
 

@@ -450,14 +450,16 @@ def _end(ratios: np.ndarray) -> tuple[int, float, float]:
 def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid,
                    v: np.ndarray | None = None, im: int | None = None):
     """One sweep at ``energy``: (levels below it, match w, matching index
-    im, and the two marches as (ratios, y0, y1) of a and of b).  Every
-    sweep of :func:`find_eigenvalues` is one call of this function.
+    im, the two marches as (ratios, y0, y1) of a and of b, the cosine of
+    the angle between the tails, and c_im c_im+1).  Every sweep of
+    :func:`find_eigenvalues` is one call of this function.
 
     ``v`` is the potential sampled on the grid (sampled here if not given).
     Decaying solutions a (marched to im+1) and b (down to im) meet at the
-    rightmost turning point (the grid midpoint if none) unless ``im`` is
-    given (the grid centre (n - 1)//2 where :func:`find_eigenvalues` finds
-    ``v`` equal to its mirror image).  b's march reads only the
+    rightmost turning point (the grid midpoint if none), clamped to [2, n - 3],
+    unless ``im`` is given (the grid centre (n - 1)//2 where
+    :func:`find_eigenvalues` finds ``v`` equal to its mirror image); a given
+    im outside [2, n - 3] raises ValueError.  b's march reads only the
     coefficients c[im:] reversed and its seed, so where the two edge seeds
     are equal, im >= (n - 1)//2 and c[im:][::-1] equals c[:n - im] exactly
     (always so at the centre of mirror samples, and in most turning-point
@@ -467,11 +469,13 @@ def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid,
     with both tails (positive at their edges) scaled to unit length: the
     sine of the angle between the tails, so it lies in [-1, 1], has no
     poles, is smooth in energy at fixed im and vanishes exactly at the
-    levels.  The Sturm count (a's sign changes up to im, b's from im on,
-    plus one when b1/b0 > a1/a0) does not depend on im.
+    levels; the cosine is their dot product.  The Sturm count (a's sign
+    changes up to im, b's from im on, plus one when b1/b0 > a1/a0) does not
+    depend on im.
 
-    Only w and the count are the stable contract.  ``v``, ``im`` and the
-    marches are the solver's internal data, for :func:`find_eigenvalues`'
+    Only w and the count are the stable contract.  ``v``, ``im``, the
+    marches, the cosine and c_im c_im+1 (of the coefficients the sweep
+    marched) are the solver's internal data, for :func:`find_eigenvalues`'
     Newton step, and may change with it."""
     if v is None:
         v = potential.evaluate(grid.points())
@@ -479,6 +483,8 @@ def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid,
     n = len(v)
     if im is None:
         im = _matching_index(v, energy)
+    elif not 2 <= im <= n - 3:
+        raise ValueError(f"matching index {im!r} lies outside [2, {n - 3}]")
     seed_l, seed_r = _decay_seeds(potential, energy, grid, v)
     left = _ratios(c[: im + 2], *seed_l)
     if (seed_l == seed_r and im >= (n - 1) // 2
@@ -490,9 +496,10 @@ def shoot_mismatch(potential: Potential, energy: float, grid: RealGrid,
     nl, a0, a1 = _end(left)
     nr, b1, b0 = _end(right)
     cross = a0 * b1 - b0 * a1
-    w = -cross if (nl + nr) % 2 else cross
     count = nl + nr + (b0 < 0.0) + (cross < 0.0 if b0 < 0.0 else cross > 0.0)
-    return count, w, im, ((left, *seed_l), (right, *seed_r))
+    sign = -1.0 if (nl + nr) % 2 else 1.0
+    return (count, sign * cross, im, ((left, *seed_l), (right, *seed_r)),
+            sign * (a0 * b0 + a1 * b1), float(c[im] * c[im + 1]))
 
 
 def _action_guess(potential: Potential, v: np.ndarray, grid: RealGrid, quanta: float,
@@ -543,14 +550,13 @@ def _action_guess(potential: Potential, v: np.ndarray, grid: RealGrid, quanta: f
 
 def _match_slope(potential: Potential, grid: RealGrid, left, right):
     """Newton data of one sweep of :func:`shoot_mismatch`, from its marches
-    (ratios, y0, y1) of a and b: c_im c_im+1 |dw/dE| at fixed im, the cosine of the
-    angle between the tails (a_im, a_im+1) and (b_im, b_im+1) of the
-    edge-positive solutions, and each march as (t, factors) of :func:`_end_scaled`, in
-    march order.  Where b's ratios are a prefix view of a's (see
-    :func:`shoot_mismatch`), b's pair is a's rescaled, (t_a[:m + 1]/t_a[m],
-    factors_a[:m]) over its m ratios, without a second product: equal to
-    b's own up to the roundoff of the products, unless t_a[m] is zero or
-    subnormal, where b's is built afresh.
+    (ratios, y0, y1) of a and b: c_im c_im+1 |dw/dE| at fixed im, and each
+    march as (t, factors) of :func:`_end_scaled`, in march order.  Where
+    b's ratios are a prefix view of a's (see :func:`shoot_mismatch`), b's
+    pair is a's rescaled, (t_a[:m + 1]/t_a[m], factors_a[:m]) over its m
+    ratios, without a second product: equal to b's own up to the roundoff
+    of the products, unless t_a[m] is zero or subnormal, where b's is built
+    afresh.
 
     With z_i = c_i y_i the Numerov recurrence gives C_i - C_{i-1} =
     -K y_i^2, K = 2 m h^2/hbar^2 = 12 s with s the Numerov scale, for C_i =
@@ -568,7 +574,7 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
     march over its end sample, t = y/y_e, which no growth before the
     matching point overflows; its tail (t_{n-2}, t_{n-1}) scales it to unit
     length."""
-    weight, tails, sides = 0.0, [], []
+    weight, sides = 0.0, []
     for ratios, y0, y1 in (left, right):
         m = len(ratios)
         if sides and ratios.base is left[0] and abs(sides[0][0][m]) >= sys.float_info.min:
@@ -584,13 +590,8 @@ def _match_slope(potential: Potential, grid: RealGrid, left, right):
             squares += (seed - 1.0) * float(t[0]) ** 2
         norm = math.hypot(p, q)
         weight += squares / (norm * norm)
-        tails.append((math.copysign(1.0 / norm, t[0]), p, q))
         sides.append((t, factors))
-    # Tails in grid order: a's is (im, im+1), b's march ends at (im+1, im).
-    (scale_a, a_im, a_next), (scale_b, b_next, b_im) = tails
-    cosine = scale_a * scale_b * (a_im * b_im + a_next * b_next)
-    slope = 12.0 * _numerov_scale(potential, grid) * weight
-    return slope, cosine, *sides
+    return 12.0 * _numerov_scale(potential, grid) * weight, *sides
 
 
 def _assemble_eigenfunction(grid: RealGrid, energy: float, index: int,
@@ -746,7 +747,8 @@ def find_eigenvalues(
             energy = 0.5 * (lo + hi)
         im, last = centre, None  # last: (energy, w, step, sides) of the last Newton sweep
         for _ in range(_LEVEL_MAX_ITER):
-            count, w, at, marches = shoot_mismatch(potential, energy, grid, v, im)
+            count, w, at, marches, cosine, c_match = shoot_mismatch(potential, energy, grid,
+                                                                    v, im)
             counts[energy] = count
             lo, hi = bracket(k)
             # Level k lies above (count k) or below (count k + 1), within the
@@ -758,10 +760,8 @@ def find_eigenvalues(
             newton = count in (k, k + 1)
             if newton:
                 im = at  # unchanged once set: a given im is kept
-                slope, cosine, *sides = _match_slope(potential, grid, *marches)
-                # |dw/dE|: the slope of the z tails over c_im c_im+1.
-                c_im, c_next = _coefficients(potential, energy, grid, v[im:im + 2])
-                slope /= c_im * c_next
+                slope, *sides = _match_slope(potential, grid, *marches)
+                slope /= c_match  # |dw/dE|: the slope of the z tails over c_im c_im+1
                 newton = (cosine > 0.0) == (k % 2 == 0)
             # A bisection, or a step up to the window's top, needs the top's count.
             if hi == search_hi and (not newton or abs(w) / slope >= hi - lo) and beyond_top(k):

@@ -119,6 +119,23 @@ class TestSpectrum:
         _, rows = parse_csv(out)
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["spectrum", "--potential", "harmonic"], "--range", "-1:3"),
+        (["spectrum", "--potential", "harmonic", "--range", "0:3"], "--grid", "-10:10:4001"),
+        (["trajectory", "--potential", "harmonic", "--energy", "1.3"], "--grid", "-5:5:1001"),
+    ], ids=["range", "spectrum-grid", "trajectory-grid"])
+    def test_a_negative_value_reads_alike_after_a_space_or_an_equals_sign(self, capsys, argv,
+                                                                          flag, value):
+        spaced = run(capsys, *argv, flag, value)
+        assert spaced == run(capsys, *argv, f"{flag}={value}")
+        assert spaced[0] == 0 and spaced[1]
+
+    def test_help_names_the_shape_of_range_and_grid(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--help")
+        assert code == 0
+        assert "--range LO:HI" in out and "--grid QMIN:QMAX:N" in out
+        assert "ENERGY_RANGE" not in out
+
     def test_non_finite_frequency_is_a_usage_error(self, capsys):
         code, out, err = run(
             capsys, "spectrum", "--potential", "harmonic:w=nan", "--range", "0:6"

@@ -67,11 +67,10 @@ _TOLERANCES = st.tuples(st.sampled_from(["mub_overlap", "cocycle", "amplitude_al
 
 
 def _given(flag, values):
-    """``flag`` with one drawn value, as two tokens or as flag=value (always
-    for a value starting with "-", which argparse would read as a flag)."""
+    """``flag`` with one drawn value, as two tokens or as flag=value (as two
+    tokens a value such as "-inf" reads as a flag: a usage error)."""
     return st.tuples(values, st.booleans()).map(
-        lambda drawn: ([f"{flag}={drawn[0]}"] if drawn[1] or drawn[0].startswith("-")
-                       else [flag, drawn[0]]))
+        lambda drawn: [f"{flag}={drawn[0]}"] if drawn[1] else [flag, drawn[0]])
 
 
 def _options(command, required, optional):

@@ -384,6 +384,11 @@ _REFUSED = {
     "sampled-length": (lambda: SampledFunction(_NINE, np.ones(8)), "matching the grid"),
     "sampled-two-derivatives": (lambda: SampledFunction(_NINE, _ONES, (_ONES, _ONES)),
                                 "all three orders"),
+    "sampled-derivative-length": (lambda: SampledFunction(_NINE, _ONES,
+                                                          (_ONES, np.ones(8), _ONES)),
+                                  "derivative arrays must match"),
+    "action-length": (lambda: ReducedAction(_NINE, np.ones(8), np.ones(8), 1.0, 1.0, 1.0),
+                      "samples must match the grid"),
     "action-zero-momentum": (lambda: ReducedAction(_NINE, _ONES, np.arange(9.0), 1.0, 1.0, 1.0),
                              "never vanish"),
     "action-zero-hbar": (lambda: ReducedAction(_NINE, _ONES, _ONES, 1.0, 0.0, 1.0),

@@ -33,6 +33,10 @@ class TestParameterCount:
         with pytest.raises(ValueError, match="exponent"):
             parameter_count(2, 3)
 
+    def test_real_space_dimension_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least 1, got 0"):
+            real_space_count(0)
+
 
 class TestHardyCounts:
     def test_quadratic_qubit_count(self):

@@ -55,6 +55,10 @@ class TestPredictorValidation:
         with pytest.raises(ValueError, match="orthonormal"):
             MeasurementBasis(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex))
 
+    def test_basis_matrix_must_be_square(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            MeasurementBasis(np.ones((2, 3)))
+
 
 class TestBornProbabilities:
     def test_basis_vectors_give_certainty(self):
@@ -209,6 +213,12 @@ class TestContinuousPath:
             for first, second in zip(path, path[1:])
         ]
         assert all(step < math.pi / 2.0 for step in steps)
+
+    def test_a_path_from_a_state_to_itself_stays_put(self):
+        psi = Predictor(np.array([0.6, 0.8j]))
+        path = continuous_path(psi, psi, 3)
+        assert len(path) == 4
+        assert all(np.array_equal(state.components, psi.components) for state in path)
 
     def test_bad_step_count_is_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):

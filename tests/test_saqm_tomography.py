@@ -17,6 +17,7 @@ from qmkit.errors import (
 from qmkit.saqm import (
     DensityMatrix,
     MeasurementBasis,
+    MubSet,
     Predictor,
     ProbabilityTable,
     density_from_table,
@@ -259,3 +260,36 @@ class TestNoSignalling:
         bad = (QUBIT_MUBS.bases[0], mub_set(3).bases[0])
         with pytest.raises(DimensionMismatch):
             no_signalling_check(BELL, bad, QUBIT_MUBS)
+
+
+_QUTRIT_STANDARD = MeasurementBasis.standard(3)
+_HALF_MIXED = DensityMatrix(np.eye(2) / 2)
+
+# Each value check of the tomography records and functions that no other
+# test reaches: a call that fails it, the error it raises and its message.
+_REFUSED = {
+    "density-not-square": (lambda: DensityMatrix(np.ones((2, 3))), ValueError, "square"),
+    "density-empty": (lambda: DensityMatrix(np.zeros((0, 0))), ValueError, "at least 1x1"),
+    "mubs-none": (lambda: MubSet(()), ValueError, "at least one basis"),
+    "mubs-mixed-dimensions": (lambda: MubSet((QUBIT_MUBS.bases[0], _QUTRIT_STANDARD,
+                                              QUBIT_MUBS.bases[1])),
+                              DimensionMismatch, "share one dimension"),
+    "mubs-incomplete": (lambda: MubSet(QUBIT_MUBS.bases[:2]), ValueError,
+                        "dimension 2 has 3 bases, got 2"),
+    "mubs-repeated": (lambda: MubSet((*QUBIT_MUBS.bases[:2], QUBIT_MUBS.bases[0])), ValueError,
+                      "not unbiased"),
+    "table-one-dimensional": (lambda: ProbabilityTable(np.array([0.5, 0.5])), ValueError,
+                              "two-dimensional"),
+    "effect-not-square": (lambda: trace_probability(_HALF_MIXED, np.ones((2, 3))),
+                          InvalidEffect, "square"),
+    "factors-do-not-compose": (lambda: no_signalling_check(
+        BELL, (_QUTRIT_STANDARD, _QUTRIT_STANDARD), QUBIT_MUBS),
+        DimensionMismatch, r"\(2, 3\) do not compose to 4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_a_tomography_value_check_refuses(name):
+    call, error, message = _REFUSED[name]
+    with pytest.raises(error, match=message):
+        call()

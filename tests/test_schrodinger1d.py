@@ -122,6 +122,13 @@ def test_load_potential_table_tolerates_header(tmp_path):
     assert pot.evaluate(np.array([0.25]))[0] == pytest.approx(0.0625, abs=1e-12)
 
 
+def test_load_potential_table_skips_blank_rows(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("0.0,0.0\n\n0.5,0.125\n  \n1.0,0.5\n\n")
+    pot = load_potential_table(path)
+    assert pot.evaluate(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, 0.125, 0.5]
+
+
 def test_load_potential_table_rejects_single_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0\n1.0\n")
@@ -313,6 +320,18 @@ def test_mismatch_is_bounded_between_levels():
     values = [shoot_mismatch(Potential.harmonic(), energy, HARMONIC_GRID)[1]
               for energy in np.linspace(0.01, 9.9, 991)]
     assert max(abs(w) for w in values) <= 1.0
+
+
+@pytest.mark.parametrize("im", [-1, 0, 1, 3999, 4000, 4001])
+def test_a_given_matching_index_off_the_clamped_range_is_refused(im):
+    with pytest.raises(ValueError, match=r"outside \[2, 3998\]"):
+        shoot_mismatch(Potential.harmonic(), 0.7, HARMONIC_GRID, None, im)
+
+
+def test_the_count_does_not_depend_on_a_given_matching_index():
+    counts = [shoot_mismatch(Potential.harmonic(), 0.7, HARMONIC_GRID, None, im)[0]
+              for im in (None, 2, 2000, 3998)]
+    assert counts == [1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +686,7 @@ def test_a_sweep_at_each_level_would_end_the_polish(potential, window, grid):
     result = find_eigenvalues(potential, window, 64, grid)
     tolerance = _polish_tolerance(potential, grid, result.energies)
     for k, energy, limit in zip(result.node_counts, result.energies, tolerance):
-        count, w, _, marches = schrodinger1d.shoot_mismatch(potential, energy, grid, v)
+        count, w, _, marches, _, _ = schrodinger1d.shoot_mismatch(potential, energy, grid, v)
         slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
         assert count in (k, k + 1), k
         assert abs(w) / slope <= limit, k
@@ -753,7 +772,7 @@ def test_newton_slope_matches_a_central_difference(potential, level, offset):
     v = potential.evaluate(grid.points())
     exact = harmonic_level(level) if potential.kind == "harmonic" else well_level(level + 1)
     energy = exact + offset
-    _, _, im, marches = schrodinger1d.shoot_mismatch(potential, energy, grid, v)
+    _, _, im, marches, _, _ = schrodinger1d.shoot_mismatch(potential, energy, grid, v)
     slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
     w_hi, w_lo = (schrodinger1d.shoot_mismatch(potential, energy + d, grid, v, im)[1]
                   for d in (1e-5, -1e-5))
@@ -800,7 +819,7 @@ def test_a_level_near_the_soft_edge_polishes_on_the_slope_with_the_seed_terms():
     limit = _polish_tolerance(potential, grid, result.energies)[0]
     assert abs(energy - 17.411712646237095) <= limit
     v = potential.evaluate(grid.points())
-    _, _, im, marches = schrodinger1d.shoot_mismatch(potential, energy, grid, v)
+    _, _, im, marches, _, _ = schrodinger1d.shoot_mismatch(potential, energy, grid, v)
     slope = schrodinger1d._match_slope(potential, grid, *marches)[0]
     for d in (1e-7, 1e-5, 1e-3):
         w_hi, w_lo = (schrodinger1d.shoot_mismatch(potential, energy + e, grid, v, im)[1]
@@ -954,7 +973,8 @@ def test_a_match_left_of_the_centre_marches_twice():
     v = potential.evaluate(HARMONIC_GRID.points())
     centre = (HARMONIC_GRID.n_points - 1) // 2
     for im in (1800, centre - 1):
-        (_, _, _, (_, (right, *_))), calls = _counted_sweep(5.5, v, potential=potential, im=im)
+        (_, _, _, (_, (right, *_)), _, _), calls = _counted_sweep(5.5, v, potential=potential,
+                                                                  im=im)
         assert calls == 2 and len(right) == HARMONIC_GRID.n_points - im - 1
 
 
@@ -967,10 +987,10 @@ def test_a_prefix_side_rescales_the_left_product(potential, energy):
     # _end_scaled(b) takes one of b's: each sample carries at most about one
     # ulp per factor from it to a's end on each side.
     grid = potential.default_grid()
-    _, _, _, marches = schrodinger1d.shoot_mismatch(potential, energy, grid)
+    _, _, _, marches, _, _ = schrodinger1d.shoot_mismatch(potential, energy, grid)
     (left, *_), (right, *_) = marches
     assert right.base is left
-    _, _, _, (t, factors) = schrodinger1d._match_slope(potential, grid, *marches)
+    _, _, (t, factors) = schrodinger1d._match_slope(potential, grid, *marches)
     expected_t, expected_factors = schrodinger1d._end_scaled(right)
     assert np.array_equal(factors, expected_factors)
     factors_to_end = len(left) + 1 - np.arange(len(t))
@@ -983,13 +1003,13 @@ def test_a_prefix_side_ending_on_a_zero_sample_is_scaled_afresh(monkeypatch):
     # where a's product over its end reads exactly 0: no scale to divide by.
     grid = RealGrid(0.0, 1.0, 11)
     well = Potential.infinite_well(1.0)
-    _, _, _, marches = schrodinger1d.shoot_mismatch(well, 120.0, grid, None, 6)
+    _, _, _, marches, _, _ = schrodinger1d.shoot_mismatch(well, 120.0, grid, None, 6)
     (left, *_), (right, *_) = marches
     assert right.base is left and len(right) == 4
     end_scaled = schrodinger1d._end_scaled
     scaled = []
     monkeypatch.setattr(schrodinger1d, "_end_scaled", lambda r: scaled.append(r) or end_scaled(r))
-    _, _, (t_a, _), (t, factors) = schrodinger1d._match_slope(well, grid, *marches)
+    _, (t_a, _), (t, factors) = schrodinger1d._match_slope(well, grid, *marches)
     assert t_a[4] == 0.0 and len(scaled) == 2
     expected_t, expected_factors = end_scaled(right)
     assert np.array_equal(t, expected_t) and np.array_equal(factors, expected_factors)

@@ -333,3 +333,37 @@ def test_transform_rejects_non_monotone_map():
     parabola = sampled_with_exact_derivatives(X**2, grid)
     with pytest.raises((NonMonotoneMap, DerivativeVanishes)):
         transform_W(w, parabola, xi=1.0, mass=0.5)
+
+
+_WIDE = RealGrid(-1.0, 1.0, 2000)  # 2000 points: q = 0 is none, so no slope of q² vanishes
+
+
+# Each value check of the coordinate-map functions that no other test pins:
+# a call that fails it, the error it raises and its message.
+_REFUSED = {
+    "transform-two-grids": (lambda: transform_W(SampledFunction(grid_on(0.0, 1.0, 9), np.ones(9)),
+                                                SampledFunction(grid_on(0.0, 2.0, 9),
+                                                                np.arange(9.0)),
+                                                xi=1.0, mass=1.0),
+                            ValueError, "share one grid"),
+    "cocycle-parabola": (lambda: cocycle_deviation(sample(_WIDE, lambda q: q), _WIDE,
+                                                   sample(_WIDE, lambda q: q * q),
+                                                   xi=1.0, mass=1.0),
+                         NonMonotoneMap, "qc must be strictly monotone"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_a_coordinate_map_value_check_refuses(name):
+    call, error, message = _REFUSED[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_sample_evaluates_each_derivative_callable_on_the_grid():
+    grid = grid_on(0.0, 1.0, 9)
+    f = sample(grid, np.sin, (np.cos, lambda q: -np.sin(q), lambda q: -np.cos(q)))
+    q = grid.points()
+    assert np.array_equal(f.values, np.sin(q))
+    for got, expected in zip(f.derivatives, (np.cos(q), -np.sin(q), -np.cos(q))):
+        assert np.array_equal(got, expected)
