@@ -252,16 +252,14 @@ def _scan_grid(potential: Potential, energy: float,
 
     Hard walls give [0, L].  A table is probed on its own range; any other
     potential on the first box [-4 * 2^k, 4 * 2^k], k = 0, 1, ...,
-    `_OCTAVES`, whose two ends are classically forbidden.  That box then
-    halves, down to k = -`_OCTAVES`, while its 16001-sample probe holds
-    fewer than 64 allowed samples and the halved box's ends stay forbidden
-    (which only [-4, 4] and smaller can meet).  So no length scale is
-    assumed, and an allowed interval that fills 64 probe samples of [-4, 4]
-    ... [-64, 64] keeps that box.  A potential confined in no box gets the
-    table's range or [-4, 4], unpadded.  Each turning point is padded
-    outward to the first probe sample where the trapezoid sum of kappa dq
-    reaches `_TAIL_ACTION` (or to the probe's end), at 80 samples per
-    shortest wavelength.  The pair is marched outward from the centre, so
+    `_OCTAVES`, whose two ends are classically forbidden.  A potential
+    confined in no box gets the table's range or [-4, 4], unpadded.  Each
+    turning point is padded outward to the first sample of the box's
+    16001-sample probe where the trapezoid sum of kappa dq reaches
+    `_TAIL_ACTION` (or to the probe's end), at 80 samples per shortest
+    wavelength.  While the padded interval lies strictly inside the halved
+    box, the box halves, down to k = -`_OCTAVES`, so no length scale is
+    assumed.  The pair is marched outward from the centre, so
     deeper tails would only amplify the growing solution, by
     e^(2*_TAIL_ACTION), and with it the roundoff.  A non-finite ``energy``
     raises ValueError.
@@ -281,24 +279,24 @@ def _scan_grid(potential: Potential, energy: float,
     box = next((box for box in boxes if confining(box)), None)
     if box is None:
         return RealGrid(*boxes[0], min_points), *boxes[0]
+    hbar, mass = potential.hbar, potential.mass
     while True:
         probe = np.linspace(*box, 16001)
         w = potential.evaluate(probe) - energy
+        allowed = np.nonzero(w < 0.0)[0]
+        if len(allowed) == 0:
+            raise ValueError("energy lies below the potential minimum")
+        first, last = allowed[0], allowed[-1]  # in [1, n - 2]: the box ends are forbidden
+        kappa = np.sqrt(2.0 * mass * np.clip(w, 0.0, None)) / hbar
+        steps = 0.5 * (kappa[:-1] + kappa[1:]) * (probe[1] - probe[0])
+        lo = max(first - 1 - np.searchsorted(np.cumsum(steps[first - 1::-1]), _TAIL_ACTION), 0)
+        hi = min(last + 1 + np.searchsorted(np.cumsum(steps[last:]), _TAIL_ACTION),
+                 len(probe) - 1)
         half = (0.5 * box[0], 0.5 * box[1])
-        if (potential.kind == "tabulated" or np.count_nonzero(w < 0.0) >= 64
-                or half[1] < 4.0 * 2.0**-_OCTAVES or not confining(half)):
+        if (potential.kind == "tabulated" or half[1] < 4.0 * 2.0**-_OCTAVES
+                or not half[0] < probe[lo] <= probe[hi] < half[1]):
             break
         box = half
-
-    allowed = np.nonzero(w < 0.0)[0]
-    if len(allowed) == 0:
-        raise ValueError("energy lies below the potential minimum")
-    first, last = allowed[0], allowed[-1]  # in [1, n - 2]: the box ends are forbidden
-    hbar, mass = potential.hbar, potential.mass
-    kappa = np.sqrt(2.0 * mass * np.clip(w, 0.0, None)) / hbar
-    steps = 0.5 * (kappa[:-1] + kappa[1:]) * (probe[1] - probe[0])
-    lo = max(first - 1 - np.searchsorted(np.cumsum(steps[first - 1::-1]), _TAIL_ACTION), 0)
-    hi = min(last + 1 + np.searchsorted(np.cumsum(steps[last:]), _TAIL_ACTION), len(probe) - 1)
     spacing = 2.0 * math.pi * hbar / math.sqrt(2.0 * mass * float(-w.min())) / 80.0
     n = min(max(int(math.ceil((probe[hi] - probe[lo]) / spacing)) + 1, min_points), 400001)
     return RealGrid(float(probe[lo]), float(probe[hi]), n), float(probe[first]), float(probe[last])

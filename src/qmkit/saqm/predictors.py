@@ -8,6 +8,7 @@ a generic predictor the moduli-power sum equals one only at power two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class Predictor:
         object.__setattr__(self, "components", components)
         if components.ndim != 1 or len(components) == 0:
             raise ValueError("components must form a nonempty vector")
+        if not np.isfinite(components).all():
+            raise ValueError("predictor components must be finite")
         norm = np.linalg.norm(components)
         if abs(norm - 1.0) > _UNIT_TOL:
             raise ValueError(f"predictor norm {norm!r} is not 1 within {_UNIT_TOL}")
@@ -58,6 +61,8 @@ class MeasurementBasis:
         object.__setattr__(self, "vectors", vectors)
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
             raise ValueError("vectors must form a square matrix of rows")
+        if not np.isfinite(vectors).all():
+            raise ValueError("basis vectors must be finite")
         gram = vectors @ vectors.conj().T
         if np.abs(gram - np.eye(len(vectors))).max() > _UNIT_TOL:
             raise ValueError("basis rows are not orthonormal within 1e-12")
@@ -92,8 +97,8 @@ def exponent_deviation(psi: Predictor, basis: MeasurementBasis, k: float) -> flo
     vanishes only for basis eigenstates, which is the rigidity that forces
     the squared-modulus rule.
     """
-    if k <= 0:
-        raise ValueError("the exponent k must be positive")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"the exponent k must be finite and positive, got {k!r}")
     moduli = np.abs(_amplitudes(psi, basis))
     return float(abs(np.sum(moduli**k) - 1.0))
 
@@ -134,11 +139,14 @@ def continuous_path(
     # Rotate b's global phase so the overlap with a is real nonnegative.
     if abs(inner) > 0:
         b = b * (abs(inner) / inner)
-    overlap = min(max(np.vdot(a, b).real, -1.0), 1.0)
-    theta = float(np.arccos(min(max(abs(overlap), 0.0), 1.0)))
-    if theta < 1e-14:
+    overlap = np.vdot(a, b).real
+    normal = b - overlap * a
+    sine = float(np.linalg.norm(normal))
+    if sine == 0.0:
         return [Predictor(a.copy()) for _ in range(steps + 1)]
-    normal = (b - overlap * a) / np.sin(theta)
+    # atan2 resolves angles far below the 2e-8 that arccos of the overlap can.
+    theta = math.atan2(sine, overlap)
+    normal = normal / sine
     path = []
     for j in range(steps + 1):
         angle = theta * j / steps

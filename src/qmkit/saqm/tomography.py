@@ -60,6 +60,8 @@ class DensityMatrix:
             raise ValueError("state matrix must be square")
         if m.shape[0] < 1:
             raise ValueError("state matrix must be at least 1x1")
+        if not np.isfinite(m).all():
+            raise ValueError("state matrix entries must be finite")
         if np.abs(m - m.conj().T).max() > _HERMITIAN_TOL:
             raise ValueError("state matrix must be Hermitian")
         trace = complex(np.trace(m))
@@ -154,6 +156,8 @@ class ProbabilityTable:
             raise ValueError(
                 f"table must have dim+1 rows of dim entries, got {rows.shape}"
             )
+        if not np.isfinite(rows).all():
+            raise ValueError("probabilities must be finite")
         if rows.min() < -_PROBABILITY_SLACK or rows.max() > 1.0 + _PROBABILITY_SLACK:
             raise ValueError("probabilities must lie in [0, 1]")
         sums = rows.sum(axis=1)
@@ -239,6 +243,8 @@ def trace_probability(state: DensityMatrix, effect: np.ndarray) -> float:
     e = np.array(effect, dtype=complex)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise InvalidEffect("effect must be a square matrix")
+    if not np.isfinite(e).all():
+        raise InvalidEffect("effect entries must be finite")
     if e.shape[0] != state.dim:
         raise DimensionMismatch(
             f"effect dimension {e.shape[0]} does not match state dimension {state.dim}"

@@ -41,6 +41,8 @@ class MoebiusMap:
     d: complex
 
     def __post_init__(self):
+        if not np.isfinite([self.a, self.b, self.c, self.d]).all():
+            raise ValueError("coefficients must be finite")
         scale = max(abs(self.a) + abs(self.b) + abs(self.c) + abs(self.d), 1.0)
         if abs(self.determinant) <= 1e-12 * scale * scale:
             raise ValueError("degenerate coefficient matrix: a d - b c ~ 0")

@@ -200,13 +200,13 @@ def scan_grid_by_walk(potential: Potential, energy: float,
     The box is [0, L] between hard walls and the table's range for a
     tabulated potential.  Otherwise it is the first of [-4 * 2^k, 4 * 2^k],
     k = 0, 1, ..., 64 (checked on 8001 samples) whose ends are classically
-    forbidden; if that is [-4, 4], it is halved, down to k = -64, for as
-    long as its 16001-sample probe holds fewer than 64 samples with V < E
-    and the halved box's ends are still forbidden.  A potential confined in
-    no box gets the table's range or [-4, 4], unpadded.  On a 16001-sample
-    probe of the box, each turning point is padded outward sample by sample
-    until the trapezoid sum of kappa = sqrt(2 m (V - E))/hbar reaches 3 (or
-    the probe ends), and the spacing is 1/80 of the shortest de Broglie
+    forbidden.  A potential confined in no box gets the table's range or
+    [-4, 4], unpadded.  On a 16001-sample probe of the box, each turning
+    point is padded outward sample by sample until the trapezoid sum of
+    kappa = sqrt(2 m (V - E))/hbar reaches 3 (or the probe ends).  A box
+    that is not a table's is halved, down to k = -64, for as long as both
+    padded ends lie strictly inside the halved box, and padded afresh on
+    its own probe.  The spacing is 1/80 of the shortest de Broglie
     wavelength, with between ``min_points`` and 400001 points.  Returns the
     grid and the turning points.
     """
@@ -214,8 +214,7 @@ def scan_grid_by_walk(potential: Potential, energy: float,
         return RealGrid(0.0, potential.length, min_points), 0.0, potential.length
     if potential.kind == "tabulated":
         box_lo, box_hi = float(potential.table_q[0]), float(potential.table_q[-1])
-        probe = np.linspace(box_lo, box_hi, 16001)
-        w = potential.evaluate(probe) - energy
+        w = potential.evaluate(np.array([box_lo, box_hi])) - energy
         if w[0] <= 0.0 or w[-1] <= 0.0:
             return RealGrid(box_lo, box_hi, min_points), box_lo, box_hi
     else:
@@ -226,36 +225,38 @@ def scan_grid_by_walk(potential: Potential, energy: float,
         size = next((4.0 * 2.0**k for k in range(65) if confined(4.0 * 2.0**k)), None)
         if size is None:
             return RealGrid(-4.0, 4.0, min_points), -4.0, 4.0
-        if size == 4.0:
-            for k in range(-1, -65, -1):
-                inside = np.sum(potential.evaluate(np.linspace(-size, size, 16001)) < energy)
-                if inside >= 64 or not confined(4.0 * 2.0**k):
-                    break
-                size = 4.0 * 2.0**k
         box_lo, box_hi = -size, size
+
+    def padded_walk(box_lo: float, box_hi: float):
         probe = np.linspace(box_lo, box_hi, 16001)
         w = potential.evaluate(probe) - energy
+        allowed = np.nonzero(w < 0.0)[0]
+        if len(allowed) == 0:
+            raise ValueError("energy lies below the potential minimum")
+        kappa = np.sqrt(2.0 * potential.mass * np.clip(w, 0.0, None)) / potential.hbar
+        dq = probe[1] - probe[0]
 
-    allowed = np.nonzero(w < 0.0)[0]
-    if len(allowed) == 0:
-        raise ValueError("energy lies below the potential minimum")
-    kappa = np.sqrt(2.0 * potential.mass * np.clip(w, 0.0, None)) / potential.hbar
-    dq = probe[1] - probe[0]
+        def padded(i: int, step: int) -> float:
+            total = 0.0
+            while 0 < i < len(probe) - 1:
+                total += 0.5 * (kappa[i] + kappa[i + step]) * dq
+                i += step
+                if total >= 3.0:
+                    break
+            return probe[i]
 
-    def padded(i: int, step: int) -> float:
-        total = 0.0
-        while 0 < i < len(probe) - 1:
-            total += 0.5 * (kappa[i] + kappa[i + step]) * dq
-            i += step
-            if total >= 3.0:
-                break
-        return probe[i]
+        return (padded(allowed[0], -1), padded(allowed[-1], +1),
+                probe[allowed[0]], probe[allowed[-1]], w)
 
-    q_lo, q_hi = padded(allowed[0], -1), padded(allowed[-1], +1)
+    q_lo, q_hi, turn_lo, turn_hi, w = padded_walk(box_lo, box_hi)
+    while (potential.kind != "tabulated" and box_hi / 2.0 >= 4.0 * 2.0**-64
+           and box_lo / 2.0 < q_lo and q_hi < box_hi / 2.0):
+        box_lo, box_hi = box_lo / 2.0, box_hi / 2.0
+        q_lo, q_hi, turn_lo, turn_hi, w = padded_walk(box_lo, box_hi)
+
     wavelength = 2.0 * math.pi * potential.hbar / math.sqrt(2.0 * potential.mass * float(-w.min()))
     n = min(max(int(math.ceil((q_hi - q_lo) / (wavelength / 80.0))) + 1, min_points), 400001)
-    return (RealGrid(float(q_lo), float(q_hi), n),
-            float(probe[allowed[0]]), float(probe[allowed[-1]]))
+    return RealGrid(float(q_lo), float(q_hi), n), float(turn_lo), float(turn_hi)
 
 
 def floyd_time_by_central_difference(potential: Potential, energy: float,

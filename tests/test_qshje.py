@@ -327,12 +327,26 @@ class TestScanGrid:
     def test_grid_matches_the_walk_oracle(self, name):
         unit = SCAN_ENERGY_UNITS.get(name, 1.0)
         for energy, hbar, min_points in itertools.product(
-                (0.3 * unit, 2.7 * unit, 30.0 * unit, 700.0 * unit), (0.02, 0.3, 1.0),
+                (1e-30 * unit, 1e-6 * unit, 0.3 * unit, 2.7 * unit, 30.0 * unit, 700.0 * unit),
+                (0.02, 0.3, 1.0),
                 (4001, 40001)):
             potential = dataclasses.replace(SCAN_POTENTIALS[name], hbar=hbar)
             expected = scan_grid_by_walk(potential, energy, min_points=min_points)
             assert _scan_grid(potential, energy, min_points=min_points) == expected, \
                 (energy, hbar, min_points)
+
+    @pytest.mark.parametrize("name, hbar", [("harmonic", 1.0), ("harmonic", 0.3),
+                                            ("harmonic", 0.02), ("harmonic-narrow", 1.0)])
+    @pytest.mark.parametrize("level", [1e-6, 1e-30])
+    def test_tiny_energies_keep_their_tails(self, name, hbar, level):
+        # A box halved past its tail pads is so narrow that the roundoff of
+        # the centred differences behind Q swamps the identity.
+        potential = dataclasses.replace(SCAN_POTENTIALS[name], hbar=hbar)
+        quantum = hbar * potential.omega
+        energy = level * quantum
+        trajectory = floyd_trajectory(potential, energy,
+                                      suggest_trajectory_grid(potential, energy))
+        assert qshje_residual(trajectory.action, potential) / quantum <= 5e-7
 
     @pytest.mark.parametrize("name", ["harmonic", "tabulated-double-well"])
     def test_energy_below_the_minimum_is_rejected(self, name):

@@ -220,6 +220,13 @@ class TestContinuousPath:
         assert len(path) == 4
         assert all(np.array_equal(state.components, psi.components) for state in path)
 
+    @pytest.mark.parametrize("angle", [1e-8, 1e-9, 1e-10])
+    def test_a_small_angle_is_walked_to_its_end(self, angle):
+        start = Predictor(np.array([1.0, 0.0]))
+        end = Predictor(np.array([math.cos(angle), math.sin(angle)]))
+        path = continuous_path(start, end, 4)
+        assert np.abs(path[-1].components - end.components).max() <= 1e-15
+
     def test_bad_step_count_is_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             continuous_path(PLUS, PLUS, 0)

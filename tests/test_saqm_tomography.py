@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from qmkit import MoebiusMap
 from qmkit.errors import (
     DimensionMismatch,
     InvalidEffect,
@@ -21,6 +22,7 @@ from qmkit.saqm import (
     Predictor,
     ProbabilityTable,
     density_from_table,
+    exponent_deviation,
     mub_set,
     no_signalling_check,
     partial_trace,
@@ -292,4 +294,32 @@ _REFUSED = {
 def test_a_tomography_value_check_refuses(name):
     call, error, message = _REFUSED[name]
     with pytest.raises(error, match=message):
+        call()
+
+
+# Each statistics-side record or function, fed one non-finite input: a NaN
+# compares false against every tolerance, so it is refused before any check.
+_NON_FINITE = {
+    "predictor-nan": (lambda: Predictor(np.array([math.nan, 1.0])), ValueError),
+    "predictor-inf": (lambda: Predictor(np.array([math.inf, 0.0])), ValueError),
+    "basis-nan": (lambda: MeasurementBasis(np.full((2, 2), math.nan)), ValueError),
+    "basis-inf": (lambda: MeasurementBasis(np.array([[math.inf, 0.0], [0.0, 1.0]])), ValueError),
+    "table-nan": (lambda: density_from_table(ProbabilityTable(np.full((3, 2), math.nan)),
+                                             QUBIT_MUBS), ValueError),
+    "density-nan": (lambda: DensityMatrix(np.full((2, 2), math.nan)), ValueError),
+    "moebius-nan": (lambda: MoebiusMap(math.nan, 0.0, 0.0, 1.0), ValueError),
+    "moebius-inf": (lambda: MoebiusMap(math.inf, 0.0, 0.0, 1.0), ValueError),
+    "effect-nan": (lambda: trace_probability(DensityMatrix.maximally_mixed(2),
+                                             np.full((2, 2), math.nan)), InvalidEffect),
+    "exponent-nan": (lambda: exponent_deviation(Predictor(np.array([S, S])),
+                                                QUBIT_MUBS.bases[0], math.nan), ValueError),
+    "exponent-inf": (lambda: exponent_deviation(Predictor(np.array([S, S])),
+                                                QUBIT_MUBS.bases[0], math.inf), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE))
+def test_a_non_finite_input_is_refused(name):
+    call, error = _NON_FINITE[name]
+    with pytest.raises(error, match="finite"):
         call()
