@@ -631,6 +631,97 @@ def _assemble_eigenfunction(grid: RealGrid, energy: float, index: int,
     return Wavefunction(grid, values, energy)
 
 
+class _CountTable:
+    """The Sturm counts of one window's sweeps by energy, from its floor's on.
+    The top is swept once, when a bracket needs it; every sweep matches at
+    the grid centre where the sampled ``v`` is its own mirror image."""
+
+    def __init__(self, potential, grid, v, floor, top, resolution):
+        self.potential, self.grid, self.v, self.top = potential, grid, v, top
+        self.centre = (len(v) - 1) // 2 if np.array_equal(v, v[::-1]) else None
+        self.counts = {floor: shoot_mismatch(potential, floor, grid, v, self.centre)[0]}
+        self.resolution, self.doublet = resolution, (
+            "two levels near E = %r lie closer than float spacing or than the grid's energy "
+            f"resolution {resolution:.1e}; the grid cannot separate them")
+
+    def bracket(self, k):  # the window's top bounds level k until a sweep counts more than k
+        return (max(e for e, count in self.counts.items() if count <= k),
+                min((e for e, count in self.counts.items() if count > k), default=self.top))
+
+    def beyond_top(self, k):  # whether level k lies above the window
+        if self.top not in self.counts:
+            self.counts[self.top] = shoot_mismatch(self.potential, self.top, self.grid,
+                                                   self.v, self.centre)[0]
+        return self.counts[self.top] <= k
+
+
+def _polish_level(k: int, trial: float | None, im: int | None, table: _CountTable):
+    """Level k of ``table``'s window from ``trial`` (from its count bracket's
+    midpoint where None or outside it): its energy and its two marches'
+    (t, factors) to splice, or None where it lies above the window.
+
+    Each sweep takes one Newton step |w|/|dw/dE| toward the level, the way
+    its count points (up at count k, down at k + 1); the matching point
+    stays ``im`` where given, else where the first sweep counting k or k + 1
+    put it.  A step reaching the bracket's end, a count other than k or
+    k + 1, or a sweep nearer another root of w bisects the bracket instead;
+    a guess outside it, a bisection or a step reaching the top first sweeps
+    the window's top.  The polish stops at the sweep whose step is below
+    half of 1e-12 |E|, or of the window's energy resolution where that is
+    wider, and returns its energy.  It also stops one sweep earlier, on the
+    trial E +/- s of a Newton sweep with step s that follows another with
+    step s_prev (no bisection between them), when the contraction rate r =
+    max(s/s_prev, |secant - slope|/slope) is at most 1/2 and the predicted
+    next step r s passes that stop test.  The secant is w's through the two
+    sweeps, so a slope that misjudges w (a doublet's fast turn) forbids the
+    prediction.  That trial, inside the count bracket, is returned unswept.
+    A bisection between adjacent floats, or a level not polished in 200
+    sweeps, raises LevelsUnresolved."""
+    potential, grid, v = table.potential, table.grid, table.v
+    start = int(potential.hard_wall)  # a hard wall's r_0 = inf; its y_1 = 1 in every sweep
+    step, tolerance, last = math.inf, 0.0, None  # last: a Newton sweep's (energy, w, step, sides)
+    for _ in range(_LEVEL_MAX_ITER):
+        lo, hi = table.bracket(k)
+        if trial is None or not lo < trial < hi:
+            if hi == table.top and table.beyond_top(k):
+                return None
+            if step <= tolerance:  # the last Newton sweep's bracket is within the tolerance
+                return energy, sides
+            last, trial = None, 0.5 * (lo + hi)
+            if not lo < trial < hi:
+                raise LevelsUnresolved(table.doublet % trial)
+        energy = trial
+        count, w, at, marches, cosine, c_match = shoot_mismatch(potential, energy, grid, v, im)
+        table.counts[energy] = count
+        lo, hi = table.bracket(k)
+        # Level k lies above at count k, below at k + 1; a cosine of sign (-1)^k: w's nearest root.
+        step, trial = math.inf, None
+        if count in (k, k + 1):
+            im = at  # unchanged once set: a given im is kept
+            slope, *sides = _match_slope(potential, grid, *marches)
+            slope /= c_match  # |dw/dE|: the slope of the z tails over c_im c_im+1
+            if (cosine > 0.0) == (k % 2 == 0):
+                step = min(hi - lo, abs(w) / slope)
+        tolerance = 0.5 * max(_LEVEL_RTOL * abs(energy), table.resolution)
+        if step < hi - lo:
+            if step <= tolerance:
+                return energy, sides
+            trial = energy + step if count == k else energy - step
+            # The predicted stop, with the trial's marches linear in energy:
+            # y + tau (y - y_last) = y_e ((1 + tau) t - tau q t_last), q = y_e,last/y_e.
+            if last and lo < trial < hi:
+                last_energy, last_w, last_step, last_sides = last
+                secant = abs(w - last_w) / abs(energy - last_energy)
+                rate = max(step / last_step, abs(secant - slope) / slope)
+                if rate <= 0.5 and rate * step <= tolerance:
+                    tau = (trial - energy) / (energy - last_energy)
+                    return trial, [((1.0 + tau) * t - tau * np.prod(f_last[start:] / f[start:])
+                                    * t_last, f)
+                                   for (t, f), (t_last, f_last) in zip(sides, last_sides)]
+            last = energy, w, step, sides
+    raise LevelsUnresolved(f"level {k} not polished in {_LEVEL_MAX_ITER} steps")
+
+
 def find_eigenvalues(
     potential: Potential,
     e_range: tuple[float, float],
@@ -641,52 +732,30 @@ def find_eigenvalues(
 
     Each trial energy costs one sweep giving the count of levels below it
     and a pole-free match w, the counts kept in one table shared by the
-    window.  Level k starts from the action quantization (1/pi hbar) int p
-    dq = k + 1/2 (k + 1 between hard walls) over the sampled potential,
-    solved inside its count bracket (from the bracket's midpoint when the
-    action does not reach it there).  Each sweep then takes one Newton step
-    |w|/|dw/dE| toward the level, the way its count points (up at count k,
-    down at k + 1); the matching point stays where the first sweep counting
-    k or k + 1 put it, or, on samples of the potential that equal their
-    mirror image exactly (decided once per call), at the grid centre.  A
-    sweep whose right march reads the mirror image of its left march's
-    coefficients, there or at a turning point right of the centre, marches
-    once (see :func:`shoot_mismatch`).  A step off the count bracket, a
-    count other than k or k + 1, or a sweep nearer another root of w
-    bisects the bracket instead, so the counts alone decide every level.
-    The window's top is swept only when a bracket needs its count (a guess outside it, a
-    bisection or a step reaching the top), and the search ends once the top
-    counts at most k levels.  The polish stops at the sweep whose step is
-    below half of 1e-12 |E|, or of the energy resolution 2 ulp(1)/s of the
-    Numerov coefficients (s the Numerov scale, see :func:`_numerov_scale`)
-    where that is wider, and returns its energy; no bound of the search is
-    absolute, so a change of units by powers of two scales every level
-    exactly.  It
-    also stops one sweep earlier, on the trial E +/- s of a Newton sweep
-    with step s that follows another with step s_prev (no bisection between
-    them), when the contraction rate r = max(s/s_prev, |secant -
-    slope|/slope) is at most 1/2 and the predicted next step r s passes
-    that stop test.  The secant is w's through the two sweeps, so a slope
-    that misjudges w (a doublet's fast turn) forbids the prediction.  That
-    trial lies inside the count bracket and is returned unswept.  Every
-    sweep reads the potential sampled once per call; level k's
-    eigenfunction is spliced from its last sweep's marches, or from its last
-    two sweeps' extrapolated linearly in energy to an unswept trial.  Levels
-    closer than float spacing or than that energy resolution raise
-    LevelsUnresolved (a tunnelling doublet the grid cannot split), an
-    eigenfunction without k nodes raises NodeCountMismatch (the grid
-    under-resolves it).  For soft potentials only energies classically
-    forbidden at both grid edges are searchable: the top stays below the
-    lower edge value V_e by max(1e-9 |V_e|, resolution), and a window with
-    no such level raises NoEigenvalueInRange.  A top above the energy
-    max V + 1/s, where the smallest Numerov coefficient is 2 and past which
-    the grid holds no level (between hard walls, where coefficients may
-    otherwise overflow), is lowered to it.
-    The window's floor is raised to the potential's minimum on the grid,
-    below which no level lies; the first sweep, at the floor, raises
-    GridTooSmall where the spacing is at least sqrt(12) decay lengths (a
-    Numerov coefficient <= 0, see :func:`_coefficients`).  A hard-wall grid
-    must span [0, L] to within 1e-9 L.
+    window.  Level k starts from the action quantization (1/pi hbar)
+    int p dq = k + 1/2 (k + 1 between hard walls) over the sampled
+    potential, solved inside its count bracket, and is polished there by
+    Newton steps and bisections (:func:`_polish_level`), so the counts alone
+    decide every level; the search ends once the window's top counts at most
+    k levels.  No bound of the search is absolute, so a change of units by
+    powers of two scales every level exactly.  Level k's eigenfunction is
+    spliced from its last sweep's marches, or from its last two sweeps'
+    extrapolated linearly in energy to an unswept trial.  Levels closer than
+    float spacing or than the energy resolution 2 ulp(1)/s of the Numerov
+    coefficients (s the Numerov scale) raise LevelsUnresolved (a tunnelling
+    doublet the grid cannot split), an eigenfunction without k nodes raises
+    NodeCountMismatch (the grid under-resolves it).  For soft potentials
+    only energies classically forbidden at both grid edges are searchable:
+    the top stays below the lower edge value V_e by max(1e-9 |V_e|,
+    resolution), and a window with no such level raises
+    NoEigenvalueInRange.  A top above the energy max V + 1/s, where the
+    smallest Numerov coefficient is 2 and past which the grid holds no level
+    (between hard walls, where coefficients may otherwise overflow), is
+    lowered to it.  The window's floor is raised to the potential's minimum
+    on the grid, below which no level lies; the first sweep, at the floor,
+    raises GridTooSmall where the spacing is at least sqrt(12) decay lengths
+    (a Numerov coefficient <= 0).  A hard-wall grid must span [0, L] to
+    within 1e-9 L.
     """
     if grid is None:
         grid = potential.default_grid()
@@ -718,88 +787,19 @@ def find_eigenvalues(
         raise NoEigenvalueInRange("no energy in the window lies above the potential's "
                                   "minimum, below the grid's highest level and is "
                                   "confined on this grid")
-    doublet = ("two levels near E = %r lie closer than float spacing or than the grid's "
-               f"energy resolution {resolution:.1e}; the grid cannot separate them")
-    # Every sweep reads the sampled v, and matches at the centre where v is
-    # its own mirror image; the table keeps each sweep's count.
-    centre = (len(v) - 1) // 2 if np.array_equal(v, v[::-1]) else None
-    counts = {e_lo: shoot_mismatch(potential, e_lo, grid, v, centre)[0]}
-
-    def bracket(k):  # the window's top bounds level k until a sweep counts more than k
-        return (max(e for e, count in counts.items() if count <= k),
-                min((e for e, count in counts.items() if count > k), default=search_hi))
-
-    def beyond_top(k):  # whether level k lies above the window; the top is swept once
-        if search_hi not in counts:
-            counts[search_hi] = shoot_mismatch(potential, search_hi, grid, v, centre)[0]
-        return counts[search_hi] <= k
-
-    energies, functions = [], []
+    table = _CountTable(potential, grid, v, e_lo, search_hi, resolution)
     maslov = 1.0 if potential.hard_wall else 0.5  # level 0's action, in units of 2 pi hbar
-    start = int(potential.hard_wall)  # a hard wall's r_0 = inf; its y_1 = 1 in every sweep
-    levels = range(counts[e_lo], counts[e_lo] + max_count)
+    energies, functions = [], []
+    levels = range(table.counts[e_lo], table.counts[e_lo] + max_count)
     for k in levels:
-        lo, hi = bracket(k)
-        energy = _action_guess(potential, v, grid, k + maslov, lo, hi)
-        if energy is None or not lo < energy < hi:
-            if hi == search_hi and beyond_top(k):
-                break
-            energy = 0.5 * (lo + hi)
-        im, last = centre, None  # last: (energy, w, step, sides) of the last Newton sweep
-        for _ in range(_LEVEL_MAX_ITER):
-            count, w, at, marches, cosine, c_match = shoot_mismatch(potential, energy, grid,
-                                                                    v, im)
-            counts[energy] = count
-            lo, hi = bracket(k)
-            # Level k lies above (count k) or below (count k + 1), within the
-            # count bracket.  Where it is the root of w nearest this sweep
-            # (the tails' cosine then has the sign (-1)^k it has at level k),
-            # it also lies within one Newton step |w|/|dw/dE|; there the
-            # sweep steps toward it, or stops once the step is below the
-            # polish tolerance.  Any other sweep bisects the count bracket.
-            newton = count in (k, k + 1)
-            if newton:
-                im = at  # unchanged once set: a given im is kept
-                slope, *sides = _match_slope(potential, grid, *marches)
-                slope /= c_match  # |dw/dE|: the slope of the z tails over c_im c_im+1
-                newton = (cosine > 0.0) == (k % 2 == 0)
-            # A bisection, or a step up to the window's top, needs the top's count.
-            if hi == search_hi and (not newton or abs(w) / slope >= hi - lo) and beyond_top(k):
-                energy = None
-                break
-            if newton:
-                step = min(hi - lo, abs(w) / slope)
-                tolerance = 0.5 * max(_LEVEL_RTOL * abs(energy), resolution)
-                if step <= tolerance:
-                    break
-                trial = energy + step if count == k else energy - step
-                if lo < trial < hi:
-                    # The predicted stop, with the trial's marches linear in energy:
-                    # y + tau (y - y_last) = y_e ((1 + tau) t - tau q t_last), q = y_e,last/y_e.
-                    if last:
-                        last_energy, last_w, last_step, last_sides = last
-                        secant = abs(w - last_w) / abs(energy - last_energy)
-                        rate = max(step / last_step, abs(secant - slope) / slope)
-                        if rate <= 0.5 and rate * step <= tolerance:
-                            tau = (trial - energy) / (energy - last_energy)
-                            sides = [((1.0 + tau) * t - tau * np.prod(f_last[start:] / f[start:])
-                                      * t_last, f)
-                                     for (t, f), (t_last, f_last) in zip(sides, last_sides)]
-                            energy = trial
-                            break
-                    last, energy = (energy, w, step, sides), trial
-                    continue
-            last, energy = None, 0.5 * (lo + hi)
-            if not lo < energy < hi:
-                raise LevelsUnresolved(doublet % energy)
-        else:
-            raise LevelsUnresolved(f"level {k} not polished in {_LEVEL_MAX_ITER} steps")
-        if energy is None:
+        guess = _action_guess(potential, v, grid, k + maslov, *table.bracket(k))
+        level = _polish_level(k, guess, table.centre, table)
+        if level is None:
             break
+        energy, ((left, _), (right, _)) = level
         if energies and energy - energies[-1] < resolution:
-            raise LevelsUnresolved(doublet % energy)
+            raise LevelsUnresolved(table.doublet % energy)
         energies.append(energy)
-        (left, _), (right, _) = sides
         functions.append(_assemble_eigenfunction(grid, energy, k, left, right[::-1]))
     if not energies:
         raise NoEigenvalueInRange("no level inside the energy window")

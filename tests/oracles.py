@@ -197,9 +197,10 @@ def scan_grid_by_walk(potential: Potential, energy: float,
                       *, min_points: int = 4001) -> tuple[RealGrid, float, float]:
     """The trajectory grid rule, walked one probe sample at a time.
 
-    The box is [0, L] between hard walls and the table's range for a
-    tabulated potential.  Otherwise it is the first of [-4 * 2^k, 4 * 2^k],
-    k = 0, 1, ..., 64 (checked on 8001 samples) whose ends are classically
+    The box is [0, L] between hard walls, whose floor is 0: an energy below
+    it raises ValueError.  It is the table's range for a tabulated
+    potential.  Otherwise it is the first of [-4 * 2^k, 4 * 2^k], k = 0,
+    1, ..., 64 (checked on 8001 samples) whose ends are classically
     forbidden.  A potential confined in no box gets the table's range or
     [-4, 4], unpadded.  On a 16001-sample probe of the box, each turning
     point is padded outward sample by sample until the trapezoid sum of
@@ -211,6 +212,8 @@ def scan_grid_by_walk(potential: Potential, energy: float,
     grid and the turning points.
     """
     if potential.hard_wall:
+        if energy < 0.0:
+            raise ValueError("energy lies below the potential minimum")
         return RealGrid(0.0, potential.length, min_points), 0.0, potential.length
     if potential.kind == "tabulated":
         box_lo, box_hi = float(potential.table_q[0]), float(potential.table_q[-1])

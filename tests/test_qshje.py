@@ -348,7 +348,7 @@ class TestScanGrid:
                                       suggest_trajectory_grid(potential, energy))
         assert qshje_residual(trajectory.action, potential) / quantum <= 5e-7
 
-    @pytest.mark.parametrize("name", ["harmonic", "tabulated-double-well"])
+    @pytest.mark.parametrize("name", ["harmonic", "tabulated-double-well", "well"])
     def test_energy_below_the_minimum_is_rejected(self, name):
         for rule in (_scan_grid, scan_grid_by_walk):
             with pytest.raises(ValueError, match="below the potential minimum"):

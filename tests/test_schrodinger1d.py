@@ -608,6 +608,22 @@ def test_tabulated_window_costs_at_most_2_3_sweeps_per_level():
     assert per_level <= 2.3
 
 
+_TOTALS_Q = np.linspace(-6.0, 6.0, 201)
+
+
+@pytest.mark.parametrize("potential, window, levels, sweeps", [
+    (Potential.harmonic(), (0.0, 6.0), 6, 14),
+    (Potential.infinite_well(1.0), (0.0, 200.0), 6, 13),
+    (Potential.tabulated(_TOTALS_Q, 0.5 * _TOTALS_Q**2), (0.0, 10.0), 10, 22),
+], ids=["harmonic", "well", "tabulated"])
+def test_a_window_takes_its_exact_sweep_total(potential, window, levels, sweeps):
+    # The gates above bound averages per level; these totals pin each
+    # window's sweeps, so a polish that takes one sweep more or less shows.
+    result, per_level = _solve_counting_sweeps(potential, window)
+    assert len(result.energies) == levels
+    assert per_level * levels == pytest.approx(sweeps, abs=1e-9)
+
+
 @contextlib.contextmanager
 def _recorded_sweeps():
     """The energies of the shooting sweeps made inside the block."""
