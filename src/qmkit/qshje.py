@@ -212,8 +212,12 @@ def floyd_trajectory(potential: Potential, energy: float, grid: RealGrid) -> Tra
     the double well (q^2 - 1)^2 tabulated at 1201 points on [-5, 5], on
     the grid of :func:`suggest_trajectory_grid`, it does so at every E from
     0.1 to 2.3 (in steps of 0.1), above the barrier at E = 1 too; from 2.4
-    to 5 the time is monotone.  ``action`` is the reduced action at E over
-    the whole grid.
+    to 5 the time is monotone.  The linear ramp at E = 0.5 raises it too,
+    on the suggested grid and on grids whose right end lies in the
+    forbidden side ([-4, 2.5], [-1.5, 2.5]): its time turns back in the
+    allowed region, so the cause is the centre-launched microstate, as on
+    the double well, not the grid.  ``action`` is the reduced action at E
+    over the whole grid.
     """
     hbar, mass = potential.hbar, potential.mass
     pair = solution_pair(potential, energy, grid)

@@ -191,7 +191,6 @@ def transform_W(
     *,
     xi: float,
     mass: float,
-    inhomogeneous: bool = True,
 ) -> SampledFunction:
     """Transform the combination W = V - E into a new coordinate.
 
@@ -202,10 +201,7 @@ def transform_W(
 
         W'(q') = (dq/dq')^2 W(q(q')) + (q; q'),
 
-    with the pairing (q; q') = -(xi^2 / 4 mass) {q, q'}.  Passing
-    ``inhomogeneous=False`` forces the pairing term to zero, which reduces
-    the law to the plain quadratic-differential rule; the output domain is
-    the same either way so the two variants stay comparable.
+    with the pairing (q; q') = -(xi^2 / 4 mass) {q, q'}.
     """
     if W.grid != coordinate_map.grid:
         raise ValueError("W and coordinate_map must share one grid")
@@ -214,7 +210,5 @@ def transform_W(
     _check_monotone(d1, "coordinate_map")
 
     w_vals = W.values[trim : W.grid.n_points - trim] if trim else W.values
-    values = d1 * d1 * w_vals
-    if inhomogeneous:
-        values = values + (-(xi * xi) / (4.0 * mass)) * _braces(d1, d2, d3)
+    values = d1 * d1 * w_vals + (-(xi * xi) / (4.0 * mass)) * _braces(d1, d2, d3)
     return SampledFunction(W.grid.interior(trim), values)

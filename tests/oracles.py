@@ -8,11 +8,15 @@ node count and the levels found by bisecting on it, the plain Numerov
 recurrence (in float or long double), the shooting slope's sums of squares
 taken in log form, the Matrix Numerov spectrum of one dense eigensolve, a
 sample-by-sample walk that picks the trajectory grid,
-brute-force path enumeration for amplitude networks, and trajectory time by
-central differences in energy.
-Only the last calls the library: it differences the library's reduced
-action at neighbouring energies, the route to t = dS0/dE that the closed
-form under test replaced.
+brute-force path enumeration for amplitude networks, their validity by
+walking forward from the source and backward from the sink, random
+series-parallel networks built by composing checked networks, and
+trajectory time by central differences in energy.
+Only the last two call the library: one composes networks with
+``series_network`` and ``parallel_network``, the route that building one
+network from its composed edges replaced, and one differences the
+library's reduced action at neighbouring energies, the route to
+t = dS0/dE that the closed form under test replaced.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 import sympy as sp
 
 from qmkit import Potential, RealGrid, SampledFunction, reduced_action_from_pair, solution_pair
-from qmkit.saqm import AmplitudeNetwork
+from qmkit.saqm import AmplitudeNetwork, parallel_network, series_network, single_edge
+from qmkit.saqm.amplitudes import _AMPLITUDE_POOL
 
 _X = sp.Symbol("x")
 
@@ -316,3 +321,50 @@ def path_sum_amplitude(network: AmplitudeNetwork) -> complex:
         )
 
     return walk(network.source, complex(1.0))
+
+
+def _reachable(starts, adjacency: dict) -> set:
+    """Every node reached from ``starts`` along ``adjacency``, starts included."""
+    seen = set(starts)
+    stack = list(starts)
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def network_defect(pairs, source, sink) -> str | None:
+    """"cycle" where a node of the (tail, head) ``pairs`` reaches itself,
+    "stranded" where a node (``source`` and ``sink`` included) is not both
+    reached from the source and reaching the sink, else None."""
+    successors: dict = {}
+    predecessors: dict = {}
+    for tail, head in pairs:
+        successors.setdefault(tail, []).append(head)
+        predecessors.setdefault(head, []).append(tail)
+    if any(node in _reachable(heads, successors) for node, heads in successors.items()):
+        return "cycle"
+    nodes = {source, sink, *successors, *predecessors}
+    on_paths = _reachable([source], successors) & _reachable([sink], predecessors)
+    return "stranded" if nodes - on_paths else None
+
+
+def composed_series_parallel(rng: np.random.Generator, max_edges: int):
+    """Random series-parallel network and its algebraic amplitude, built by
+    composing a checked network at every level of the recursion, with the
+    draws of ``rng`` that ``random_series_parallel`` makes."""
+
+    def build(budget: int):
+        if budget <= 1 or rng.random() < 0.3:
+            amp = _AMPLITUDE_POOL[int(rng.integers(len(_AMPLITUDE_POOL)))]
+            return single_edge(amp), amp
+        left_budget = int(rng.integers(1, budget))
+        first, a1 = build(left_budget)
+        second, a2 = build(budget - left_budget)
+        if rng.random() < 0.5:
+            return series_network(first, second), a1 * a2
+        return parallel_network(first, second), a1 + a2
+
+    return build(int(rng.integers(2, max_edges + 1)))

@@ -295,6 +295,15 @@ class TestTrajectory:
         with pytest.raises(NonMonotoneTime):
             floyd_trajectory(pot, energy, suggest_trajectory_grid(pot, energy))
 
+    @pytest.mark.parametrize("grid", [None, RealGrid(-4.0, 2.5, 40001)],
+                             ids=["suggested", "right-end-forbidden"])
+    def test_ramp_microstate_time_turns_back(self, grid):
+        # Not the grid's doing: on [-4, 2.5], whose right end lies in the
+        # forbidden side, the time also turns back in the allowed region.
+        pot = Potential.linear()
+        with pytest.raises(NonMonotoneTime):
+            floyd_trajectory(pot, 0.5, grid or suggest_trajectory_grid(pot, 0.5))
+
 
 class TestClassicalLimitScan:
     HBARS = [1.0, 0.5, 0.25, 0.125]

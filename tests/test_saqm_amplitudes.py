@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import path_sum_amplitude
+from oracles import composed_series_parallel, network_defect, path_sum_amplitude
 from qmkit.errors import NotSeriesParallel
 from qmkit.saqm import (
     AmplitudeNetwork,
@@ -25,6 +25,7 @@ from qmkit.saqm import (
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+NODES = st.integers(min_value=0, max_value=5)
 
 
 def bridge_network(s_to_a) -> AmplitudeNetwork:
@@ -66,6 +67,24 @@ class TestNetworkValidation:
         edges = ((0, 1, 1.0), (2, 1, 1.0))
         with pytest.raises(ValueError, match="off every source-sink path"):
             AmplitudeNetwork(edges, 0, 1)
+
+    # Small digraphs, the source and sink possibly touched by no edge: the
+    # degree rule must accept exactly what the walk oracle accepts.
+    @settings(deadline=None, max_examples=300)
+    @given(
+        pairs=st.lists(st.tuples(NODES, NODES).filter(lambda e: e[0] != e[1]),
+                       min_size=1, max_size=8),
+        ends=st.lists(NODES, min_size=2, max_size=2, unique=True),
+    )
+    def test_validity_matches_the_walk_oracle(self, pairs, ends):
+        defect = network_defect(pairs, *ends)
+        edges = tuple((u, v, 1.0) for u, v in pairs)
+        if defect is None:
+            AmplitudeNetwork(edges, *ends)
+        else:
+            message = "cycle" if defect == "cycle" else "off every source-sink path"
+            with pytest.raises(ValueError, match=message):
+                AmplitudeNetwork(edges, *ends)
 
 
 class TestComposeAmplitudes:
@@ -136,6 +155,27 @@ class TestComposeAmplitudes:
     def test_composition_labels_nodes_by_operand(self, net, edges, ends):
         assert net.edges == edges
         assert (net.source, net.sink) == ends
+
+    def test_a_random_network_is_checked_once(self, monkeypatch):
+        checked = []
+        check = AmplitudeNetwork.__post_init__
+        monkeypatch.setattr(AmplitudeNetwork, "__post_init__",
+                            lambda net: checked.append(net) or check(net))
+        for seed in range(20):
+            checked.clear()
+            net, _ = random_series_parallel(np.random.default_rng(seed), max_edges=50)
+            assert len(checked) == 1 and checked[0] is net
+
+    @settings(deadline=None, max_examples=80)
+    @given(seed=SEEDS, max_edges=st.integers(min_value=2, max_value=61))
+    def test_random_network_matches_the_composed_reference(self, seed, max_edges):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        net, amplitude = random_series_parallel(rng, max_edges)
+        reference, reference_amplitude = composed_series_parallel(reference_rng, max_edges)
+        assert (net.edges, net.source, net.sink) == (
+            reference.edges, reference.source, reference.sink)
+        assert amplitude == reference_amplitude
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @settings(deadline=None, max_examples=80)
     @given(seed=SEEDS)

@@ -526,13 +526,25 @@ def test_doublet_below_the_grid_energy_resolution_raises():
 @pytest.mark.parametrize("amplitude", [2.0 * (1.0 - 1e-12), 2.0 * (1.0 + 1e-12),
                                        2.0 * (1.0 + 1e-9), 1.99, 2.01])
 def test_unresolved_doublet_has_one_message(amplitude):
-    # Rounding decides whether the count bracket collapses to adjacent
-    # floats or two polished levels coincide; both report one condition.
+    # Each of these doublets ends at find_eigenvalues' check that two
+    # polished levels lie within the energy resolution; the collapsed count
+    # bracket of _polish_level, the other raise site, is pinned below.
     q = np.linspace(-6.0, 6.0, 4001)
     double_well = Potential.tabulated(q, amplitude * (q * q - 9.0) ** 2)
     with pytest.raises(LevelsUnresolved, match="float spacing or than the grid's energy "
                                                 "resolution"):
         find_eigenvalues(double_well, (0.0, 30.0), 4)
+
+
+def test_a_collapsed_count_bracket_reports_the_doublet():
+    # Counts 0 and 1 at adjacent floats leave level 0 no trial between them.
+    potential, grid = Potential.harmonic(), RealGrid(-10.0, 10.0, 4001)
+    v = potential.evaluate(grid.points())
+    table = schrodinger1d._CountTable(potential, grid, v, 0.0, 5.0, 1e-9)
+    table.counts.update({0.5: 0, math.nextafter(0.5, 1.0): 1})
+    with pytest.raises(LevelsUnresolved, match="float spacing or than the grid's energy "
+                                                "resolution"):
+        schrodinger1d._polish_level(0, None, None, table)
 
 
 def test_deep_double_well_ground_state_is_normalized():

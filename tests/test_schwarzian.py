@@ -297,14 +297,6 @@ def test_transform_by_identity_returns_same_samples():
     assert np.abs(out.values - w.values).max() < 1e-12
 
 
-def test_zero_w_is_fixed_point_of_classical_transform():
-    grid = grid_on(0.5, 1.5)
-    w = SampledFunction(grid, np.zeros(grid.n_points))
-    cubic = sampled_with_exact_derivatives(X**3 + X, grid)
-    out = transform_W(w, cubic, xi=1.0, mass=0.5, inhomogeneous=False)
-    assert np.abs(out.values).max() == 0.0
-
-
 def test_inhomogeneous_term_maps_zero_w_to_schwarzian_pairing():
     # Oracle: sympy gives S[x^3+x] = 6(1 - 6x^2)/(9x^4 + 6x^2 + 1), so the
     # transformed W must equal -(xi^2/4m) times those samples pointwise.
@@ -319,12 +311,15 @@ def test_inhomogeneous_term_maps_zero_w_to_schwarzian_pairing():
 
 
 def test_classical_transform_is_quadratic_differential_rule():
+    # The law less its value at W = 0 leaves the homogeneous part d1^2 W.
     grid = grid_on(0.5, 1.5)
     w = sample(grid, lambda q: np.sin(q))
+    zero = SampledFunction(grid, np.zeros(grid.n_points))
     cubic = sampled_with_exact_derivatives(X**3 + X, grid)
-    out = transform_W(w, cubic, xi=1.0, mass=0.5, inhomogeneous=False)
+    out = transform_W(w, cubic, xi=1.0, mass=0.5)
+    pairing = transform_W(zero, cubic, xi=1.0, mass=0.5)
     d1 = cubic.derivatives[0]
-    assert np.abs(out.values - d1 * d1 * w.values).max() < 1e-12
+    assert np.abs(out.values - pairing.values - d1 * d1 * w.values).max() < 1e-12
 
 
 def test_transform_rejects_non_monotone_map():
