@@ -8,7 +8,6 @@ stderr.  Exit codes: 0 success, 1 usage or input error, 2 empty result,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -22,8 +21,8 @@ from .errors import (GridTooSmall, NegativeEigenvalue, NodeCountMismatch, NoEige
 from .grids import RealGrid, SampledFunction, _write_csv
 from .schwarzian import MoebiusMap, cocycle_deviation, moebius_invariance_deviation, schwarzian
 
-# schrodinger1d, qshje and saqm are imported by the commands that use them,
-# so a process pays only for the layers its subcommand runs.
+# The solver layers (schrodinger1d, qshje, saqm) and json are imported by the
+# commands that use them, so a process pays only for what its subcommand runs.
 if TYPE_CHECKING:
     from .schrodinger1d import Potential
 
@@ -206,6 +205,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         print(f"no levels: {exc}", file=sys.stderr)
         return _EXIT_EMPTY
     if args.format == "json":
+        import json
         _emit(json.dumps({"energies": list(result.energies),
                           "node_counts": list(result.node_counts)}), args.out)
     else:
@@ -227,6 +227,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     trajectory = floyd_trajectory(potential, energy, grid)
     residual = qshje_residual(trajectory.action, potential)
     if args.format == "json":
+        import json
         _emit(json.dumps({"energy": trajectory.energy, "t": trajectory.t.tolist(),
                           "q": trajectory.q.tolist(), "p": trajectory.p.tolist()}), args.out)
     else:
@@ -399,6 +400,8 @@ _AUDIT_RUNNERS = {
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    import json
+
     tol = _parse_overrides(args.tol_override)
     rng = np.random.default_rng(args.seed)
     if args.suite == "all":

@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import NonMonotoneTime
 from .grids import RealGrid, SampledFunction, _write_csv, fd1, fd2
-from .schrodinger1d import (Potential, SolutionPair, Wavefunction, _g_values, _launch,
-                            solution_pair)
+from .schrodinger1d import Potential, SolutionPair, Wavefunction, _launch, solution_pair
 from .schwarzian import _braces
 
 __all__ = [
@@ -223,8 +222,7 @@ def floyd_trajectory(potential: Potential, energy: float, grid: RealGrid) -> Tra
     pair = solution_pair(potential, energy, grid)
     action = reduced_action_from_pair(pair, hbar=hbar, mass=mass)
 
-    q = grid.points()
-    i0, _, log_slope = _launch(_g_values(potential, energy, potential.evaluate(q)), grid)
+    i0, _, log_slope = _launch(potential, energy, grid)
     u, v = pair.u.values, pair.v.values
     f = np.stack([u * u, u * v, v * v])
     steps = 0.5 * grid.spacing * (f[:, 1:] + f[:, :-1])
@@ -232,12 +230,13 @@ def floyd_trajectory(potential: Potential, energy: float, grid: RealGrid) -> Tra
     # less its value at i0, would cancel the growing tails' huge sums.
     iuu, iuv, ivv = np.concatenate([-np.cumsum(steps[:, i0 - 1::-1], axis=1)[:, ::-1],
                                     np.zeros((3, 1)), np.cumsum(steps[:, i0:], axis=1)], axis=1)
-    spread = (u * u * ivv - 2.0 * u * v * iuv + v * v * iuu) / pair.wronskian
-    t = (2.0 * mass / hbar) * (spread + log_slope * u * v) / (u * u + v * v)  # hbar dtheta/dE
+    uu, uv, vv = f
+    spread = (uu * ivv - 2.0 * uv * iuv + vv * iuu) / pair.wronskian
+    t = (2.0 * mass / hbar) * (spread + log_slope * u * v) / (uu + vv)  # hbar dtheta/dE
 
     window = _central_slice(grid.n_points)
     t = t[window]
-    return Trajectory(t - t[0], q[window], action.S0_prime[window], energy, action)
+    return Trajectory(t - t[0], grid.points()[window], action.S0_prime[window], energy, action)
 
 
 # ---------------------------------------------------------------------------

@@ -180,33 +180,27 @@ def _is_odd_prime(n: int) -> bool:
 def mub_set(dimension: int) -> MubSet:
     """Complete set of mutually unbiased bases.
 
-    Dimension 2 uses the three spin axes; odd prime dimensions use the
-    standard basis plus quadratic-phase Fourier bases.  Other dimensions
-    raise UnsupportedDimension — no complete construction is attempted.
+    Dimension n = 2 or an odd prime: the standard basis, then for a = 0 ..
+    n - 1 the basis whose vector b has components omega^((a j^2 + s b j)
+    mod s n)/sqrt(n), omega = e^(2 pi i/(s n)), with s = 2 for the qubit
+    (its three spin axes) and s = 1 for odd primes.  Other dimensions raise
+    UnsupportedDimension — no complete construction is attempted.
     """
-    if dimension == 2:
-        s = 1.0 / math.sqrt(2.0)
-        bases = (
-            MeasurementBasis(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)),
-            MeasurementBasis(np.array([[s, s], [s, -s]], dtype=complex)),
-            MeasurementBasis(np.array([[s, 1j * s], [s, -1j * s]], dtype=complex)),
+    if dimension != 2 and not _is_odd_prime(dimension):
+        raise UnsupportedDimension(
+            f"complete unbiased-basis sets are provided for dimension 2 and odd "
+            f"primes, not {dimension}"
         )
-        return MubSet(bases)
-    if _is_odd_prime(dimension):
-        n = dimension
-        omega = np.exp(2j * np.pi / n)
-        j_idx = np.arange(n)
-        bases = [MeasurementBasis(np.eye(n, dtype=complex))]
-        for a in range(n):
-            vectors = np.empty((n, n), dtype=complex)
-            for b in range(n):
-                vectors[b] = omega ** ((a * j_idx * j_idx + b * j_idx) % n)
-            bases.append(MeasurementBasis(vectors / math.sqrt(n)))
-        return MubSet(tuple(bases))
-    raise UnsupportedDimension(
-        f"complete unbiased-basis sets are provided for dimension 2 and odd "
-        f"primes, not {dimension}"
-    )
+    n, s = dimension, 2 if dimension == 2 else 1
+    omega = np.exp(2j * np.pi / (s * n))
+    j_idx = np.arange(n)
+    bases = [MeasurementBasis(np.eye(n, dtype=complex))]
+    for a in range(n):
+        vectors = np.empty((n, n), dtype=complex)
+        for b in range(n):
+            vectors[b] = omega ** ((a * j_idx * j_idx + s * b * j_idx) % (s * n))
+        bases.append(MeasurementBasis(vectors / math.sqrt(n)))
+    return MubSet(tuple(bases))
 
 
 def table_from_density(state: DensityMatrix, mubs: MubSet) -> ProbabilityTable:

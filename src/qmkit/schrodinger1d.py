@@ -35,7 +35,6 @@ reduced-action reconstruction consumes.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -200,6 +199,8 @@ def load_potential_table(
     A single non-numeric header row is tolerated; sample points must be
     strictly increasing.
     """
+    import csv  # only table potentials read CSV: other runs skip its import
+
     qs: list[float] = []
     vs: list[float] = []
     with open(path, newline="") as handle:
@@ -842,10 +843,14 @@ def _median(values: np.ndarray) -> float:
     return float(part[half] if odd else 0.5 * (part[half - 1] + part[half]))
 
 
-def _validated_wronskian(
-    u: np.ndarray, v: np.ndarray, g: np.ndarray, spacing: float
-) -> float:
-    profile = _wronskian_profile(u, v, g, spacing)
+def _scaled_pair(potential: Potential, energy: float, grid: RealGrid, g: np.ndarray,
+                 u: np.ndarray, v: np.ndarray) -> SolutionPair:
+    """The samples u, v of a pair at ``energy`` on ``grid``, g = 2 m (E -
+    V)/hbar^2 there, as a SolutionPair with Wronskian hbar: both scaled by
+    sqrt(hbar/|W|), v also by the sign of W.  Raises DegeneratePair unless
+    the Wronskian profile is flat to 1e-7 (or to its roundoff floor)."""
+    h = grid.spacing
+    profile = _wronskian_profile(u, v, g, h)
     wbar = _median(profile)
     spread = float(np.abs(profile - wbar).max())
     if wbar == 0.0 or spread > 0.5 * abs(wbar):
@@ -853,18 +858,16 @@ def _validated_wronskian(
     # The estimator differences nearly parallel products, so its noise
     # floor is eps * |u v| / (h |W|); constancy can only be enforced down
     # to that floor when the pair grows large at non-eigenvalue energies.
-    noise_floor = (
-        32.0
-        * np.finfo(float).eps
-        * float(np.abs(u * v).max())
-        / (spacing * abs(wbar))
-    )
+    noise_floor = 32.0 * np.finfo(float).eps * float(np.abs(u * v).max()) / (h * abs(wbar))
     if spread > max(1e-7, noise_floor) * abs(wbar):
         raise DegeneratePair(
             f"Wronskian varies by {spread / abs(wbar):.2e} relative; "
             "the inputs are not consistent solutions on this grid"
         )
-    return wbar
+    scale = math.sqrt(potential.hbar / abs(wbar))
+    flip = 1.0 if wbar > 0 else -1.0
+    return SolutionPair(Wavefunction(grid, u * scale, energy),
+                        Wavefunction(grid, v * scale * flip, energy), potential.hbar)
 
 
 def _taylor_start(g: np.ndarray, h: float, i0: int, value: float,
@@ -885,15 +888,16 @@ def _taylor_start(g: np.ndarray, h: float, i0: int, value: float,
     return plus, minus
 
 
-def _launch(g: np.ndarray, grid: RealGrid) -> tuple[int, float, float]:
-    """The launch of :func:`solution_pair`: sample i0 (the centre, clamped to
-    [2, n - 3]), slope kappa = max(sqrt|g(q0)|, 1/width) of the sine-like
-    member, and d(ln kappa)/dg(q0), which is zero on the 1/width floor."""
+def _launch(potential: Potential, energy: float, grid: RealGrid) -> tuple[int, float, float]:
+    """The launch of :func:`solution_pair`, from V at q0 alone: sample i0 (the
+    centre, clamped to [2, n - 3]), slope kappa = max(sqrt|g(q0)|, 1/width)
+    of the sine-like member, and d(ln kappa)/dg(q0), zero on the 1/width floor."""
     i0 = min(max(grid.n_points // 2, 2), grid.n_points - 3)
-    root = math.sqrt(abs(g[i0]))
+    g0 = _g_values(potential, energy, potential.evaluate(grid.points()[i0:i0 + 1])).item()
+    root = math.sqrt(abs(g0))
     floor = 1.0 / (grid.q_max - grid.q_min)
     if root >= floor:
-        return i0, root, 0.5 / g[i0]
+        return i0, root, 0.5 / g0
     return i0, floor, 0.0
 
 
@@ -905,7 +909,8 @@ def solution_pair(potential: Potential, energy: float, grid: RealGrid) -> Soluti
     choice keeps u^2 + v^2 free of spurious beats in the classically allowed
     region, which is what makes the semiclassical limit of the reconstructed
     action clean.  Any other independent pair would satisfy the same
-    stationary identities.
+    stationary identities.  V is sampled once on the grid, and the pair is
+    validated and scaled as :func:`pair_from_wavefunctions` does.
     """
     h = grid.spacing
     sampled = potential.evaluate(grid.points())
@@ -914,13 +919,12 @@ def solution_pair(potential: Potential, energy: float, grid: RealGrid) -> Soluti
     with np.errstate(over="ignore", invalid="ignore"):
         g = _g_values(potential, energy, sampled)
         c = _coefficients(potential, energy, grid, sampled)
-        i0, kappa, _ = _launch(g, grid)
+        i0, kappa, _ = _launch(potential, energy, grid)
         u, v = (np.concatenate([_samples(_ratios(c[i0::-1], at, minus), at, minus)[:0:-1],
                                 _samples(_ratios(c[i0:], at, plus), at, plus)])
                 for at, (plus, minus) in ((1.0, _taylor_start(g, h, i0, 1.0, 0.0)),
                                           (0.0, _taylor_start(g, h, i0, 0.0, kappa))))
-    return pair_from_wavefunctions(Wavefunction(grid, u, energy), Wavefunction(grid, v, energy),
-                                   potential)
+    return _scaled_pair(potential, energy, grid, g, u, v)
 
 
 def pair_from_wavefunctions(
@@ -934,11 +938,4 @@ def pair_from_wavefunctions(
     if u.grid != v.grid or u.energy != v.energy:
         raise ValueError("pair members must share grid and energy")
     g = _g_values(potential, u.energy, potential.evaluate(u.grid.points()))
-    wbar = _validated_wronskian(u.values, v.values, g, u.grid.spacing)
-    scale = math.sqrt(potential.hbar / abs(wbar))
-    flip = 1.0 if wbar > 0 else -1.0
-    return SolutionPair(
-        Wavefunction(u.grid, u.values * scale, u.energy),
-        Wavefunction(v.grid, v.values * scale * flip, v.energy),
-        potential.hbar,
-    )
+    return _scaled_pair(potential, u.energy, u.grid, g, u.values, v.values)

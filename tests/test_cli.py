@@ -449,6 +449,51 @@ class TestTrajectory:
                               timeout=60, env=dict(os.environ, PYTHONPATH=src))
         assert done.stdout.split() == ["0", "False"], done.stderr
 
+    def test_spectrum_and_trajectory_runs_import_neither_json_nor_csv(self):
+        # Only --format json, audit reports and table potentials need them.
+        src = str(Path(qmkit.__file__).resolve().parents[1])
+        script = (
+            "import contextlib, io, sys\n"
+            "from qmkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['spectrum', '--potential', 'harmonic', '--range', '0:3']),\n"
+            "             main(['trajectory', '--potential', 'harmonic', '--energy', '1.3'])]\n"
+            "print(*codes, 'json' in sys.modules, 'csv' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout.split() == ["0", "0", "False", "False"], done.stderr
+
+    def test_one_run_samples_v_once_and_wraps_one_pair(self, capsys, monkeypatch):
+        # The pair is validated and scaled where it is marched, and the time
+        # reads its launch without sampling V on the grid again.
+        from qmkit import schrodinger1d
+        from qmkit.schrodinger1d import Potential, Wavefunction
+
+        calls = {"evaluate": 0, "wavefunction": 0, "ratios": 0}
+        evaluate, post_init, march = (Potential.evaluate, Wavefunction.__post_init__,
+                                      schrodinger1d._ratios)
+
+        def counted_evaluate(self, q):
+            calls["evaluate"] += np.size(q) == 40001
+            return evaluate(self, q)
+
+        def counted_post_init(self):
+            calls["wavefunction"] += 1
+            post_init(self)
+
+        def counted_march(*args):
+            calls["ratios"] += 1
+            return march(*args)
+
+        monkeypatch.setattr(Potential, "evaluate", counted_evaluate)
+        monkeypatch.setattr(Wavefunction, "__post_init__", counted_post_init)
+        monkeypatch.setattr(schrodinger1d, "_ratios", counted_march)
+        code, _, err = run(capsys, "trajectory", "--potential", "harmonic", "--energy", "1.3")
+        assert code == 0
+        assert err.startswith("36001 samples")  # the central 90% of a 40001-point grid
+        assert calls == {"evaluate": 1, "wavefunction": 2, "ratios": 4}
+
     def test_free_particle_time_column_is_linear(self, capsys):
         code, out, err = run(
             capsys,

@@ -547,6 +547,21 @@ def test_a_collapsed_count_bracket_reports_the_doublet():
         schrodinger1d._polish_level(0, None, None, table)
 
 
+def test_a_level_not_polished_within_the_step_cap_raises(monkeypatch):
+    # One sweep from the action guess cannot meet the stop test.
+    monkeypatch.setattr(schrodinger1d, "_LEVEL_MAX_ITER", 1)
+    with pytest.raises(LevelsUnresolved, match="^level 0 not polished in 1 steps$"):
+        find_eigenvalues(Potential.harmonic(), (0.0, 5.0), 1)
+
+
+def test_a_splice_with_zero_overlap_samples_raises():
+    # The left march vanishes on the overlap (im, im+1) = (4, 5) of a
+    # 9-point grid: no sample anchors the splice.
+    left, right = np.array([1.0, 2.0, 3.0, 1.0, 0.0, 0.0]), np.array([1.0, 1.0, 2.0, 1.0, 0.5])
+    with pytest.raises(DegeneratePair, match="collapsed to zero on both sides"):
+        schrodinger1d._assemble_eigenfunction(RealGrid(0.0, 1.0, 9), 1.0, 0, left, right)
+
+
 def test_deep_double_well_ground_state_is_normalized():
     # The left march crosses a barrier of height 625 and grows to about
     # 1e163; squaring those samples must not overflow the normalization.
